@@ -74,8 +74,6 @@ inline constexpr char kPackingAlgorithm[] = "heron.packing.algorithm";
 inline constexpr char kContainerCpuHint[] = "heron.packing.container.cpu";
 inline constexpr char kContainerRamMbHint[] = "heron.packing.container.ram.mb";
 inline constexpr char kContainerDiskMbHint[] = "heron.packing.container.disk.mb";
-inline constexpr char kInstanceCpuDefault[] = "heron.packing.instance.cpu";
-inline constexpr char kInstanceRamMbDefault[] = "heron.packing.instance.ram.mb";
 inline constexpr char kNumContainersHint[] = "heron.packing.num.containers";
 /// MCTS packing (heron.packing.algorithm = MCTS): search budget in
 /// simulations per decision, UCT exploration constant, and the RNG seed
@@ -238,10 +236,6 @@ inline constexpr char kInMemorySinkMaxRounds[] =
 /// (journal, scheduler profiler, timeline slices) dark.
 inline constexpr char kJournalRingCapacity[] =
     "heron.observability.journal.ring.capacity";
-/// Capacity (slices) of the cooperative scheduler's timeline slice ring.
-/// Only allocated when the journal is on and a TaskletPool exists.
-inline constexpr char kJournalSliceRingCapacity[] =
-    "heron.observability.journal.slice.ring.capacity";
 
 }  // namespace config_keys
 

@@ -1,6 +1,5 @@
 #include "observability/journal.h"
 
-#include <algorithm>
 #include <cstring>
 
 namespace heron {
@@ -40,132 +39,38 @@ const char* JournalEventTypeName(JournalEventType type) {
   return "unknown";
 }
 
-namespace {
-
-/// Pack up to kJournalDetailBytes of tag text into two words. NUL-padded,
-/// so unpacking stops at the first zero byte.
-void PackDetail(const char* detail, uint64_t* lo, uint64_t* hi) {
+void JournalEvent::Pack(std::array<uint64_t, kWords>& words,
+                        JournalEventType type, int32_t origin, int32_t task,
+                        int64_t at_nanos, int64_t arg0, int64_t arg1,
+                        const char* detail) {
+  words[0] = static_cast<uint8_t>(type);
+  words[1] = static_cast<uint32_t>(origin) |
+             uint64_t{static_cast<uint32_t>(task)} << 32;
+  words[2] = static_cast<uint64_t>(at_nanos);
+  words[3] = static_cast<uint64_t>(arg0);
+  words[4] = static_cast<uint64_t>(arg1);
+  static_assert(kJournalDetailBytes == 2 * sizeof(uint64_t));
   char buf[kJournalDetailBytes] = {0};
   if (detail != nullptr) {
-    const size_t len = std::min(std::strlen(detail), kJournalDetailBytes);
-    std::memcpy(buf, detail, len);
+    std::memcpy(buf, detail, strnlen(detail, kJournalDetailBytes));
   }
-  std::memcpy(lo, buf, sizeof(*lo));
-  std::memcpy(hi, buf + sizeof(*lo), sizeof(*hi));
+  std::memcpy(&words[5], buf, sizeof(buf));
 }
 
-std::string UnpackDetail(uint64_t lo, uint64_t hi) {
-  char buf[kJournalDetailBytes + 1] = {0};
-  std::memcpy(buf, &lo, sizeof(lo));
-  std::memcpy(buf + sizeof(lo), &hi, sizeof(hi));
-  return std::string(buf);
-}
-
-}  // namespace
-
-EventJournal::EventJournal(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(new Slot[capacity == 0 ? 1 : capacity]) {}
-
-void EventJournal::Record(JournalEventType type, int32_t origin, int32_t task,
-                          int64_t at_nanos, int64_t arg0, int64_t arg1,
-                          const char* detail) {
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  PackDetail(detail, &lo, &hi);
-  const uint64_t index = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[index % capacity_];
-  // Invalidate while the fields are in flux, then publish with the new
-  // stamp. A concurrent Snapshot seeing stamp==0 or a stamp that does not
-  // match the expected index skips the slot.
-  slot.stamp.store(0, std::memory_order_release);
-  slot.type.store(static_cast<uint8_t>(type), std::memory_order_relaxed);
-  slot.origin.store(origin, std::memory_order_relaxed);
-  slot.task.store(task, std::memory_order_relaxed);
-  slot.at_nanos.store(at_nanos, std::memory_order_relaxed);
-  slot.arg0.store(arg0, std::memory_order_relaxed);
-  slot.arg1.store(arg1, std::memory_order_relaxed);
-  slot.detail_lo.store(lo, std::memory_order_relaxed);
-  slot.detail_hi.store(hi, std::memory_order_relaxed);
-  slot.stamp.store(index + 1, std::memory_order_release);
-}
-
-std::vector<JournalEvent> EventJournal::Snapshot() const {
-  const uint64_t total = next_.load(std::memory_order_acquire);
-  const uint64_t retained = std::min<uint64_t>(total, capacity_);
-  std::vector<JournalEvent> out;
-  out.reserve(retained);
-  // Oldest retained record index.
-  const uint64_t first = total - retained;
-  for (uint64_t index = first; index < total; ++index) {
-    const Slot& slot = slots_[index % capacity_];
-    if (slot.stamp.load(std::memory_order_acquire) != index + 1) {
-      continue;  // Mid-overwrite by a concurrent Record; skip.
-    }
-    JournalEvent e;
-    e.seq = index;
-    e.type = static_cast<JournalEventType>(
-        slot.type.load(std::memory_order_relaxed));
-    e.origin = slot.origin.load(std::memory_order_relaxed);
-    e.task = slot.task.load(std::memory_order_relaxed);
-    e.at_nanos = slot.at_nanos.load(std::memory_order_relaxed);
-    e.arg0 = slot.arg0.load(std::memory_order_relaxed);
-    e.arg1 = slot.arg1.load(std::memory_order_relaxed);
-    const uint64_t lo = slot.detail_lo.load(std::memory_order_relaxed);
-    const uint64_t hi = slot.detail_hi.load(std::memory_order_relaxed);
-    if (slot.stamp.load(std::memory_order_acquire) != index + 1) {
-      continue;  // Overwritten while copying.
-    }
-    e.detail = UnpackDetail(lo, hi);
-    out.push_back(e);
-  }
-  return out;
-}
-
-uint64_t EventJournal::dropped() const {
-  const uint64_t total = next_.load(std::memory_order_acquire);
-  return total > capacity_ ? total - capacity_ : 0;
-}
-
-SliceRing::SliceRing(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(new Slot[capacity == 0 ? 1 : capacity]) {}
-
-void SliceRing::Record(int32_t worker, int32_t tasklet, int64_t start_nanos,
-                       int64_t dur_nanos) {
-  const uint64_t index = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[index % capacity_];
-  slot.stamp.store(0, std::memory_order_release);
-  slot.worker.store(worker, std::memory_order_relaxed);
-  slot.tasklet.store(tasklet, std::memory_order_relaxed);
-  slot.start_nanos.store(start_nanos, std::memory_order_relaxed);
-  slot.dur_nanos.store(dur_nanos, std::memory_order_relaxed);
-  slot.stamp.store(index + 1, std::memory_order_release);
-}
-
-std::vector<SchedSlice> SliceRing::Snapshot() const {
-  const uint64_t total = next_.load(std::memory_order_acquire);
-  const uint64_t retained = std::min<uint64_t>(total, capacity_);
-  std::vector<SchedSlice> out;
-  out.reserve(retained);
-  const uint64_t first = total - retained;
-  for (uint64_t index = first; index < total; ++index) {
-    const Slot& slot = slots_[index % capacity_];
-    if (slot.stamp.load(std::memory_order_acquire) != index + 1) continue;
-    SchedSlice s;
-    s.worker = slot.worker.load(std::memory_order_relaxed);
-    s.tasklet = slot.tasklet.load(std::memory_order_relaxed);
-    s.start_nanos = slot.start_nanos.load(std::memory_order_relaxed);
-    s.dur_nanos = slot.dur_nanos.load(std::memory_order_relaxed);
-    if (slot.stamp.load(std::memory_order_acquire) != index + 1) continue;
-    out.push_back(s);
-  }
-  return out;
-}
-
-uint64_t SliceRing::dropped() const {
-  const uint64_t total = next_.load(std::memory_order_acquire);
-  return total > capacity_ ? total - capacity_ : 0;
+JournalEvent JournalEvent::Unpack(const std::array<uint64_t, kWords>& words,
+                                  uint64_t seq) {
+  JournalEvent e;
+  e.seq = seq;
+  e.type = static_cast<JournalEventType>(words[0]);
+  e.origin = static_cast<int32_t>(static_cast<uint32_t>(words[1]));
+  e.task = static_cast<int32_t>(static_cast<uint32_t>(words[1] >> 32));
+  e.at_nanos = static_cast<int64_t>(words[2]);
+  e.arg0 = static_cast<int64_t>(words[3]);
+  e.arg1 = static_cast<int64_t>(words[4]);
+  char buf[kJournalDetailBytes];
+  std::memcpy(buf, &words[5], sizeof(buf));
+  e.detail.assign(buf, strnlen(buf, sizeof(buf)));
+  return e;
 }
 
 }  // namespace observability

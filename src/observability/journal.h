@@ -1,11 +1,12 @@
 #ifndef HERON_OBSERVABILITY_JOURNAL_H_
 #define HERON_OBSERVABILITY_JOURNAL_H_
 
-#include <atomic>
+#include <array>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
+
+#include "observability/stamped_ring.h"
 
 namespace heron {
 namespace observability {
@@ -67,65 +68,25 @@ struct JournalEvent {
            task == o.task && at_nanos == o.at_nanos && arg0 == o.arg0 &&
            arg1 == o.arg1 && detail == o.detail;
   }
+
+  // StampedRing codec: {type, origin | task << 32, at_nanos, arg0, arg1,
+  // detail bytes 0-7, detail bytes 8-15}. The detail is NUL-padded, so
+  // unpacking stops at the first zero byte; detail may be nullptr and is
+  // truncated to kJournalDetailBytes.
+  static constexpr size_t kWords = 7;
+  static void Pack(std::array<uint64_t, kWords>& words, JournalEventType type,
+                   int32_t origin, int32_t task, int64_t at_nanos,
+                   int64_t arg0, int64_t arg1, const char* detail = nullptr);
+  static JournalEvent Unpack(const std::array<uint64_t, kWords>& words,
+                             uint64_t seq);
 };
 
 /// \brief Wait-free bounded flight recorder: one ring per container plus
-/// one for the control plane, same claim/stamp discipline as SpanCollector.
-///
-/// Record() claims a slot with a relaxed fetch_add, invalidates the slot's
-/// stamp, stores the fields relaxed, and publishes with a release stamp —
-/// no locks, no allocation, safe from any thread including inside other
-/// components' critical sections. On wrap the oldest events are
-/// overwritten and counted in dropped().
-///
-/// Snapshot() returns the retained events oldest-first; slots caught
-/// mid-overwrite are detected through the stamp and skipped, so concurrent
-/// Record/Snapshot is TSan-clean (every shared field is atomic).
-class EventJournal {
- public:
-  explicit EventJournal(size_t capacity);
-
-  EventJournal(const EventJournal&) = delete;
-  EventJournal& operator=(const EventJournal&) = delete;
-
-  /// Wait-free; callable from any thread. detail may be nullptr; it is
-  /// truncated to kJournalDetailBytes.
-  void Record(JournalEventType type, int32_t origin, int32_t task,
-              int64_t at_nanos, int64_t arg0, int64_t arg1,
-              const char* detail = nullptr);
-
-  /// Retained events oldest-first in record order.
-  std::vector<JournalEvent> Snapshot() const;
-
-  /// Events ever recorded (including overwritten ones).
-  uint64_t total_recorded() const {
-    return next_.load(std::memory_order_acquire);
-  }
-  /// Events lost to ring wraparound.
-  uint64_t dropped() const;
-  size_t capacity() const { return capacity_; }
-
- private:
-  struct Slot {
-    /// 0 = empty; otherwise 1 + the global record index that owns the
-    /// slot's current contents. Written last (release) by Record.
-    std::atomic<uint64_t> stamp{0};
-    std::atomic<uint8_t> type{0};
-    std::atomic<int32_t> origin{-1};
-    std::atomic<int32_t> task{-1};
-    std::atomic<int64_t> at_nanos{0};
-    std::atomic<int64_t> arg0{0};
-    std::atomic<int64_t> arg1{0};
-    /// kJournalDetailBytes of tag text packed little-endian into two
-    /// words so the whole event stays lock-free.
-    std::atomic<uint64_t> detail_lo{0};
-    std::atomic<uint64_t> detail_hi{0};
-  };
-
-  const size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> next_{0};
-};
+/// one for the control plane. Record(type, origin, task, at_nanos, arg0,
+/// arg1, detail = nullptr) never locks or allocates, so it is safe from any
+/// thread, including inside other components' critical sections. On wrap
+/// the oldest events are overwritten and counted in dropped().
+using EventJournal = StampedRing<JournalEvent>;
 
 /// \brief One cooperative-scheduler slice: tasklet `tasklet` ran on worker
 /// `worker` from `start_nanos` for `dur_nanos`. Only slices that made
@@ -140,44 +101,29 @@ struct SchedSlice {
     return worker == o.worker && tasklet == o.tasklet &&
            start_nanos == o.start_nanos && dur_nanos == o.dur_nanos;
   }
-};
 
-/// \brief Wait-free bounded ring of scheduler slices, same claim/stamp
-/// discipline as EventJournal/SpanCollector. One per TaskletPool; workers
-/// record concurrently, the timeline exporter snapshots live.
-class SliceRing {
- public:
-  explicit SliceRing(size_t capacity);
-
-  SliceRing(const SliceRing&) = delete;
-  SliceRing& operator=(const SliceRing&) = delete;
-
-  /// Wait-free; callable from any pool worker.
-  void Record(int32_t worker, int32_t tasklet, int64_t start_nanos,
-              int64_t dur_nanos);
-
-  /// Retained slices oldest-first in record order.
-  std::vector<SchedSlice> Snapshot() const;
-
-  uint64_t total_recorded() const {
-    return next_.load(std::memory_order_acquire);
+  // StampedRing codec: {worker | tasklet << 32, start_nanos, dur_nanos}.
+  static constexpr size_t kWords = 3;
+  static void Pack(std::array<uint64_t, kWords>& words, int32_t worker,
+                   int32_t tasklet, int64_t start_nanos, int64_t dur_nanos) {
+    words[0] = static_cast<uint32_t>(worker) |
+               uint64_t{static_cast<uint32_t>(tasklet)} << 32;
+    words[1] = static_cast<uint64_t>(start_nanos);
+    words[2] = static_cast<uint64_t>(dur_nanos);
   }
-  uint64_t dropped() const;
-  size_t capacity() const { return capacity_; }
-
- private:
-  struct Slot {
-    std::atomic<uint64_t> stamp{0};
-    std::atomic<int32_t> worker{-1};
-    std::atomic<int32_t> tasklet{-1};
-    std::atomic<int64_t> start_nanos{0};
-    std::atomic<int64_t> dur_nanos{0};
-  };
-
-  const size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> next_{0};
+  static SchedSlice Unpack(const std::array<uint64_t, kWords>& words,
+                           uint64_t /*seq*/) {
+    return SchedSlice{static_cast<int32_t>(static_cast<uint32_t>(words[0])),
+                      static_cast<int32_t>(words[0] >> 32),
+                      static_cast<int64_t>(words[1]),
+                      static_cast<int64_t>(words[2])};
+  }
 };
+
+/// \brief Wait-free bounded ring of scheduler slices: Record(worker,
+/// tasklet, start_nanos, dur_nanos). One per TaskletPool; workers record
+/// concurrently, the timeline exporter snapshots live.
+using SliceRing = StampedRing<SchedSlice>;
 
 }  // namespace observability
 }  // namespace heron

@@ -1,6 +1,5 @@
 #include "observability/trace.h"
 
-#include <algorithm>
 #include <map>
 
 namespace heron {
@@ -22,55 +21,6 @@ const char* TraceStageName(TraceStage stage) {
       return "ack_complete";
   }
   return "unknown";
-}
-
-SpanCollector::SpanCollector(size_t capacity)
-    : capacity_(capacity == 0 ? 1 : capacity),
-      slots_(new Slot[capacity == 0 ? 1 : capacity]) {}
-
-void SpanCollector::Record(uint64_t trace_id, TraceStage stage,
-                           int32_t location, int64_t at_nanos) {
-  const uint64_t index = next_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[index % capacity_];
-  // Invalidate while the fields are in flux, then publish with the new
-  // stamp. A concurrent Snapshot seeing stamp==0 or a stamp that does not
-  // match the expected index skips the slot.
-  slot.stamp.store(0, std::memory_order_release);
-  slot.trace_id.store(trace_id, std::memory_order_relaxed);
-  slot.stage.store(static_cast<uint8_t>(stage), std::memory_order_relaxed);
-  slot.location.store(location, std::memory_order_relaxed);
-  slot.at_nanos.store(at_nanos, std::memory_order_relaxed);
-  slot.stamp.store(index + 1, std::memory_order_release);
-}
-
-std::vector<Span> SpanCollector::Snapshot() const {
-  const uint64_t total = next_.load(std::memory_order_acquire);
-  const uint64_t retained = std::min<uint64_t>(total, capacity_);
-  std::vector<Span> out;
-  out.reserve(retained);
-  // Oldest retained record index.
-  const uint64_t first = total - retained;
-  for (uint64_t index = first; index < total; ++index) {
-    const Slot& slot = slots_[index % capacity_];
-    if (slot.stamp.load(std::memory_order_acquire) != index + 1) {
-      continue;  // Mid-overwrite by a concurrent Record; skip.
-    }
-    Span s;
-    s.trace_id = slot.trace_id.load(std::memory_order_relaxed);
-    s.stage = static_cast<TraceStage>(slot.stage.load(std::memory_order_relaxed));
-    s.location = slot.location.load(std::memory_order_relaxed);
-    s.at_nanos = slot.at_nanos.load(std::memory_order_relaxed);
-    if (slot.stamp.load(std::memory_order_acquire) != index + 1) {
-      continue;  // Overwritten while copying.
-    }
-    out.push_back(s);
-  }
-  return out;
-}
-
-uint64_t SpanCollector::dropped() const {
-  const uint64_t total = next_.load(std::memory_order_acquire);
-  return total > capacity_ ? total - capacity_ : 0;
 }
 
 TraceBreakdown BuildTraceBreakdown(const std::vector<Span>& spans) {

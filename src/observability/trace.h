@@ -2,11 +2,11 @@
 #define HERON_OBSERVABILITY_TRACE_H_
 
 #include <array>
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
+
+#include "observability/stamped_ring.h"
 
 namespace heron {
 namespace observability {
@@ -45,58 +45,31 @@ struct Span {
     return trace_id == o.trace_id && stage == o.stage &&
            location == o.location && at_nanos == o.at_nanos;
   }
+
+  // StampedRing codec: {trace_id, location | stage << 32, at_nanos}.
+  static constexpr size_t kWords = 3;
+  static void Pack(std::array<uint64_t, kWords>& words, uint64_t trace_id,
+                   TraceStage stage, int32_t location, int64_t at_nanos) {
+    words[0] = trace_id;
+    words[1] = static_cast<uint32_t>(location) |
+               uint64_t{static_cast<uint8_t>(stage)} << 32;
+    words[2] = static_cast<uint64_t>(at_nanos);
+  }
+  static Span Unpack(const std::array<uint64_t, kWords>& words,
+                     uint64_t /*seq*/) {
+    return Span{words[0], static_cast<TraceStage>(words[1] >> 32),
+                static_cast<int32_t>(static_cast<uint32_t>(words[1])),
+                static_cast<int64_t>(words[2])};
+  }
 };
 
 /// \brief Wait-free fixed-capacity span sink: one per container, shared by
-/// its SMGR and all its instances.
-///
-/// Record() is a relaxed fetch_add to claim a slot plus relaxed atomic
-/// field stores and one release publish — no locks, no allocation, no
-/// branches beyond the modulo, so traced tuples cost nanoseconds and
-/// untraced tuples never get here at all (callers gate on trace_id != 0).
-/// On wrap the oldest spans are overwritten and counted in dropped().
-///
-/// Snapshot() returns the retained spans oldest-first in record order; a
-/// slot mid-overwrite is detected through its sequence stamp and skipped,
-/// so concurrent Record/Snapshot is safe (and TSan-clean: every shared
-/// field is atomic).
-class SpanCollector {
- public:
-  explicit SpanCollector(size_t capacity);
-
-  SpanCollector(const SpanCollector&) = delete;
-  SpanCollector& operator=(const SpanCollector&) = delete;
-
-  /// Wait-free; callable from any thread.
-  void Record(uint64_t trace_id, TraceStage stage, int32_t location,
-              int64_t at_nanos);
-
-  /// Retained spans, oldest-first in record order.
-  std::vector<Span> Snapshot() const;
-
-  /// Spans ever recorded (including overwritten ones).
-  uint64_t total_recorded() const {
-    return next_.load(std::memory_order_acquire);
-  }
-  /// Spans lost to ring wraparound.
-  uint64_t dropped() const;
-  size_t capacity() const { return capacity_; }
-
- private:
-  struct Slot {
-    /// 0 = empty; otherwise 1 + the global record index that owns the
-    /// slot's current contents. Written last (release) by Record.
-    std::atomic<uint64_t> stamp{0};
-    std::atomic<uint64_t> trace_id{0};
-    std::atomic<uint8_t> stage{0};
-    std::atomic<int32_t> location{-1};
-    std::atomic<int64_t> at_nanos{0};
-  };
-
-  const size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<uint64_t> next_{0};
-};
+/// its SMGR and all its instances. Record(trace_id, stage, location,
+/// at_nanos) is wait-free and never allocates, so traced tuples cost
+/// nanoseconds and untraced tuples never get here at all (callers gate on
+/// trace_id != 0). On wrap the oldest spans are overwritten and counted in
+/// dropped().
+using SpanCollector = StampedRing<Span>;
 
 /// \brief One traced tuple's assembled stage timeline.
 struct TraceRecord {

@@ -121,12 +121,10 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
   // Flight recorder + scheduler profiler: always-on by default (the rings
   // are wait-free and control-plane events are rare); capacity 0 turns
   // the whole layer dark — no rings, no slice accounting, no per-pass
-  // profiling. Allocated before the pool so workers get their slice ring.
+  // profiling. Allocated before the pool so workers get their slice ring,
+  // which keeps the newest 64K progressing drives.
   journal_ring_capacity_ = static_cast<size_t>(
       merged_config_.GetIntOr(config_keys::kJournalRingCapacity, 8192));
-  slice_ring_capacity_ = static_cast<size_t>(
-      merged_config_.GetIntOr(config_keys::kJournalSliceRingCapacity,
-                              1 << 16));
   control_journal_.reset();
   slice_ring_.reset();
   {
@@ -136,8 +134,7 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
   if (journal_ring_capacity_ > 0) {
     control_journal_ = std::make_unique<observability::EventJournal>(
         journal_ring_capacity_);
-    slice_ring_ =
-        std::make_unique<observability::SliceRing>(slice_ring_capacity_);
+    slice_ring_ = std::make_unique<observability::SliceRing>(1 << 16);
   }
 
   tasklet_pool_.reset();
@@ -487,78 +484,53 @@ Status LocalCluster::ScaleWithRollback(const ComponentId& component,
   // 3. Halt every live container — the global rollback contract: tuples
   //    in flight past the checkpoint are of the doomed epoch and must be
   //    discarded, not drained onto a plan that no longer routes them.
-  //    Halted incumbents join failed_containers_ so their replacements
-  //    register as recovered incarnations.
-  std::vector<ContainerId> halted;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    pending_restore_ckpt_ = restore_id;
-    ++checkpoint_epoch_;
-    for (const auto& [id, _] : containers_) halted.push_back(id);
-  }
-  for (const ContainerId id : halted) {
-    std::unique_ptr<Container> victim;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = containers_.find(id);
-      if (it == containers_.end()) continue;
-      victim = std::move(it->second);
-      containers_.erase(it);
-      failed_containers_.insert(id);
+  return RollBack(restore_id, [&](const std::vector<ContainerId>& halted) {
+    // 4. Swap the plan everywhere: physical plan (+ metrics cache and
+    //    scaling-engine attribution) and the coordinator's completion
+    //    fence.
+    HERON_RETURN_NOT_OK(BuildAndInstallPhysicalPlan(new_plan));
+    if (control_journal_ != nullptr) {
+      control_journal_->Record(observability::JournalEventType::kPlanSwap,
+                               /*origin=*/-1, /*task=*/-1, clock_->NowNanos(),
+                               /*arg0=*/new_plan.NumContainers(),
+                               /*arg1=*/new_parallelism, "scale-rollback");
+      control_journal_->Record(
+          observability::JournalEventType::kCheckpointRestore,
+          /*origin=*/-1, /*task=*/-1, clock_->NowNanos(),
+          /*arg0=*/static_cast<int64_t>(restore_id),
+          /*arg1=*/static_cast<int64_t>(halted.size()));
     }
-    victim->Fail();
-  }
+    checkpoint_coordinator_->SetPlan(physical_plan());
 
-  // 4. Swap the plan everywhere: physical plan (+ metrics cache and
-  //    scaling-engine attribution) and the coordinator's completion fence.
-  HERON_RETURN_NOT_OK(BuildAndInstallPhysicalPlan(new_plan));
-  if (control_journal_ != nullptr) {
-    control_journal_->Record(observability::JournalEventType::kPlanSwap,
-                             /*origin=*/-1, /*task=*/-1, clock_->NowNanos(),
-                             /*arg0=*/new_plan.NumContainers(),
-                             /*arg1=*/new_parallelism, "scale-rollback");
-    control_journal_->Record(
-        observability::JournalEventType::kCheckpointRestore,
-        /*origin=*/-1, /*task=*/-1, clock_->NowNanos(),
-        /*arg0=*/static_cast<int64_t>(restore_id),
-        /*arg1=*/static_cast<int64_t>(halted.size()));
-  }
-  checkpoint_coordinator_->SetPlan(physical_plan());
-
-  // 5. Plan-change hygiene for containers the repack removed: stop
-  //    expecting their heartbeats, clear their recovery marker (they will
-  //    never restart, so a later same-id container must not boot as a
-  //    recovered incarnation), and broadcast kStop on their behalf so no
-  //    registered SMGR keeps a throttle ref a vanished initiator can
-  //    never release.
-  for (const auto& c : old_plan.containers()) {
-    if (new_plan.FindContainer(c.id) != nullptr) continue;
-    tmaster_->ForgetContainer(c.id).ok();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      failed_containers_.erase(c.id);
+    // 5. Plan-change hygiene for containers the repack removed: stop
+    //    expecting their heartbeats, clear their recovery marker (they
+    //    will never restart, so a later same-id container must not boot as
+    //    a recovered incarnation), and broadcast kStop on their behalf so
+    //    no registered SMGR keeps a throttle ref a vanished initiator can
+    //    never release.
+    for (const auto& c : old_plan.containers()) {
+      if (new_plan.FindContainer(c.id) != nullptr) continue;
+      tmaster_->ForgetContainer(c.id).ok();
+      {
+        std::lock_guard<std::mutex> lock(mutex_);
+        failed_containers_.erase(c.id);
+      }
+      smgr::AnnounceInitiatorRemoved(&transport_, c.id);
     }
-    smgr::AnnounceInitiatorRemoved(&transport_, c.id);
-  }
 
-  // 6. Scheduler applies the diff (repack-added containers start now,
-  //    their instances cold — MaybeRestore tolerates tasks the checkpoint
-  //    never knew), then the halted incumbents restart on the new plan;
-  //    StartContainer hands every one the restore id and the new epoch,
-  //    and the spouts re-emit the post-checkpoint suffix onto the new
-  //    routing tables.
-  HERON_RETURN_NOT_OK(scheduler_->OnUpdate({topology_->name(), new_plan}));
-  for (const ContainerId id : halted) {
-    const packing::ContainerPlan* c = new_plan.FindContainer(id);
-    if (c == nullptr) continue;  // Removed by the repack.
-    HERON_RETURN_NOT_OK(StartContainer(*c));
-  }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    pending_restore_ckpt_ = 0;
-  }
-  checkpoint_restores_->Increment();
-  return Status::OK();
+    // 6. Scheduler applies the diff (repack-added containers start now,
+    //    their instances cold — MaybeRestore tolerates tasks the checkpoint
+    //    never knew), then the halted incumbents restart on the new plan;
+    //    the spouts re-emit the post-checkpoint suffix onto the new
+    //    routing tables.
+    HERON_RETURN_NOT_OK(scheduler_->OnUpdate({topology_->name(), new_plan}));
+    for (const ContainerId id : halted) {
+      const packing::ContainerPlan* c = new_plan.FindContainer(id);
+      if (c == nullptr) continue;  // Removed by the repack.
+      HERON_RETURN_NOT_OK(StartContainer(*c));
+    }
+    return Status::OK();
+  });
 }
 
 Status LocalCluster::RestartContainer(ContainerId id) {
@@ -731,17 +703,41 @@ void LocalCluster::RestoreFromCheckpoint(ContainerId dead) {
 
   // 2. Halt every survivor. The rollback is global: tuples in flight past
   //    the checkpoint — in outboxes, caches, channels — are of the failed
-  //    epoch and must be discarded, not drained. Survivors join
-  //    failed_containers_ so their replacements register as recovered
-  //    incarnations (backpressure-ref cleanup).
-  std::vector<ContainerId> survivors;
+  //    epoch and must be discarded, not drained.
+  RollBack(restore_id, [&](const std::vector<ContainerId>& survivors) {
+    // 3. Restart the dead container through the framework contract, then
+    //    the survivors directly.
+    const Status st = scheduler_->OnContainerDead(topology_->name(), dead);
+    if (!st.ok()) {
+      HLOG(ERROR) << "checkpoint recovery of container " << dead
+                  << " failed: " << st.ToString();
+    }
+    const packing::PackingPlan plan = current_packing_plan();
+    for (const ContainerId id : survivors) {
+      const packing::ContainerPlan* c = plan.FindContainer(id);
+      if (c == nullptr) continue;
+      const Status restart = StartContainer(*c);
+      if (!restart.ok()) {
+        HLOG(ERROR) << "checkpoint recovery: restart of survivor " << id
+                    << " failed: " << restart.ToString();
+      }
+    }
+    return Status::OK();
+  }).ok();
+}
+
+Status LocalCluster::RollBack(
+    uint64_t restore_id,
+    const std::function<Status(const std::vector<ContainerId>& halted)>&
+        restart) {
+  std::vector<ContainerId> halted;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     pending_restore_ckpt_ = restore_id;
     ++checkpoint_epoch_;
-    for (const auto& [id, _] : containers_) survivors.push_back(id);
+    for (const auto& [id, _] : containers_) halted.push_back(id);
   }
-  for (const ContainerId id : survivors) {
+  for (const ContainerId id : halted) {
     std::unique_ptr<Container> victim;
     {
       std::lock_guard<std::mutex> lock(mutex_);
@@ -753,30 +749,13 @@ void LocalCluster::RestoreFromCheckpoint(ContainerId dead) {
     }
     victim->Fail();
   }
-
-  // 3. Restart the dead container through the framework contract, then
-  //    the survivors directly; StartContainer hands every one the restore
-  //    id and the new epoch.
-  const Status st = scheduler_->OnContainerDead(topology_->name(), dead);
-  if (!st.ok()) {
-    HLOG(ERROR) << "checkpoint recovery of container " << dead
-                << " failed: " << st.ToString();
-  }
-  const packing::PackingPlan plan = current_packing_plan();
-  for (const ContainerId id : survivors) {
-    const packing::ContainerPlan* c = plan.FindContainer(id);
-    if (c == nullptr) continue;
-    const Status restart = StartContainer(*c);
-    if (!restart.ok()) {
-      HLOG(ERROR) << "checkpoint recovery: restart of survivor " << id
-                  << " failed: " << restart.ToString();
-    }
-  }
+  HERON_RETURN_NOT_OK(restart(halted));
   {
     std::lock_guard<std::mutex> lock(mutex_);
     pending_restore_ckpt_ = 0;
   }
   checkpoint_restores_->Increment();
+  return Status::OK();
 }
 
 int64_t LocalCluster::checkpoint_epoch() const {
@@ -818,7 +797,7 @@ Status LocalCluster::StartContainer(const packing::ContainerPlan& container) {
     }
     // Checkpoint wiring: instances snapshot into (and restore from) the
     // cluster state tree. pending_restore_ckpt_ is nonzero only inside
-    // RestoreFromCheckpoint's restart storm.
+    // RollBack's restart storm.
     if (checkpoint_coordinator_ != nullptr) {
       live->set_checkpoint_options(&state_, pending_restore_ckpt_,
                                    checkpoint_epoch_);

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -240,10 +241,6 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   /// Events lost to ring wraparound, summed across every ring.
   uint64_t journal_dropped() const;
 
-  /// The cooperative scheduler's slice ring; null outside cooperative
-  /// mode or when the journal is dark.
-  observability::SliceRing* slice_ring() const { return slice_ring_.get(); }
-
   /// The unified timeline: tuple-path spans, flight-recorder events and
   /// scheduler slices merged into one Chrome trace_event / Perfetto JSON
   /// document (one track per container, worker and task; instant events
@@ -271,6 +268,16 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   /// restores its snapshot on startup and the spouts deterministically
   /// re-emit the post-checkpoint suffix.
   void RestoreFromCheckpoint(ContainerId dead);
+  /// The global rollback both ScaleWithRollback and RestoreFromCheckpoint
+  /// run: freezes a new checkpoint epoch restoring `restore_id`, halts every
+  /// live container into failed_containers_ (so each replacement registers
+  /// as a recovered incarnation), then calls `restart` with the halted ids;
+  /// StartContainer hands the restore id to every container started inside
+  /// it. Counts the restore once `restart` succeeds.
+  Status RollBack(
+      uint64_t restore_id,
+      const std::function<Status(const std::vector<ContainerId>& halted)>&
+          restart);
 
   Config cluster_config_;
   Config merged_config_;
@@ -350,7 +357,6 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   /// the pool so the timeline can be exported after Kill.
   std::unique_ptr<observability::SliceRing> slice_ring_;
   size_t journal_ring_capacity_ = 0;
-  size_t slice_ring_capacity_ = 0;
 
   mutable std::mutex mutex_;
   std::shared_ptr<const proto::PhysicalPlan> physical_plan_;
@@ -360,7 +366,7 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   std::set<ContainerId> failed_containers_;
   bool running_ = false;
   /// Checkpoint id the next StartContainer hands to its instances for
-  /// startup restore (set only inside RestoreFromCheckpoint), and the
+  /// startup restore (set only inside RollBack), and the
   /// cluster incarnation epoch. Guarded by mutex_.
   uint64_t pending_restore_ckpt_ = 0;
   int64_t checkpoint_epoch_ = 0;

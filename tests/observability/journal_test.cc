@@ -1,13 +1,11 @@
-// Unit tests for the flight recorder: the wait-free EventJournal ring
-// (ordering, wraparound accounting, detail truncation, concurrent
-// Record/Snapshot — the TSan lane runs these), the SliceRing, the
-// journal snapshot digest and the Chrome trace_event timeline export.
+// Unit tests for the flight recorder: the journal event's detail tag
+// (round trip, truncation, nullptr), the journal snapshot digest and the
+// Chrome trace_event timeline export. The EventJournal and SliceRing ring
+// mechanics are tested with the span ring in stamped_ring_test.cc.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "observability/journal.h"
@@ -20,44 +18,6 @@ namespace observability {
 namespace {
 
 // -- EventJournal ----------------------------------------------------------
-
-TEST(EventJournalTest, RecordsAndSnapshotsInOrder) {
-  EventJournal ring(8);
-  ring.Record(JournalEventType::kBackpressureStart, 1, -1, 100, 7, 9);
-  ring.Record(JournalEventType::kBackpressureStop, 1, -1, 200, 100, 0);
-  ring.Record(JournalEventType::kCheckpointTriggered, -1, -1, 300, 1, 4);
-
-  const std::vector<JournalEvent> events = ring.Snapshot();
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].seq, 0u);
-  EXPECT_EQ(events[0].type, JournalEventType::kBackpressureStart);
-  EXPECT_EQ(events[0].origin, 1);
-  EXPECT_EQ(events[0].at_nanos, 100);
-  EXPECT_EQ(events[0].arg0, 7);
-  EXPECT_EQ(events[0].arg1, 9);
-  EXPECT_EQ(events[1].type, JournalEventType::kBackpressureStop);
-  EXPECT_EQ(events[2].type, JournalEventType::kCheckpointTriggered);
-  EXPECT_EQ(events[2].origin, -1);
-  EXPECT_EQ(ring.total_recorded(), 3u);
-  EXPECT_EQ(ring.dropped(), 0u);
-}
-
-TEST(EventJournalTest, WraparoundKeepsNewestAndCountsDropped) {
-  EventJournal ring(4);
-  for (int i = 0; i < 10; ++i) {
-    ring.Record(JournalEventType::kPlanSwap, -1, -1, 1000 + i, i, 0);
-  }
-  const std::vector<JournalEvent> events = ring.Snapshot();
-  ASSERT_EQ(events.size(), 4u);
-  // The newest four survive, oldest-first, seq counting past capacity.
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(events[i].seq, static_cast<uint64_t>(6 + i));
-    EXPECT_EQ(events[i].arg0, 6 + i);
-    EXPECT_EQ(events[i].at_nanos, 1006 + i);
-  }
-  EXPECT_EQ(ring.total_recorded(), 10u);
-  EXPECT_EQ(ring.dropped(), 6u);
-}
 
 TEST(EventJournalTest, DetailRoundTripsAndTruncates) {
   EventJournal ring(4);
@@ -74,108 +34,6 @@ TEST(EventJournalTest, DetailRoundTripsAndTruncates) {
             std::string("a-component-name-too-long").substr(
                 0, kJournalDetailBytes));
   EXPECT_EQ(events[2].detail, "");
-}
-
-TEST(EventJournalTest, ZeroCapacityClampsToOne) {
-  EventJournal ring(0);
-  EXPECT_EQ(ring.capacity(), 1u);
-  ring.Record(JournalEventType::kChaosKill, 2, -1, 5, 0, 0);
-  ring.Record(JournalEventType::kChaosKill, 3, -1, 6, 0, 0);
-  const std::vector<JournalEvent> events = ring.Snapshot();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].origin, 3);
-  EXPECT_EQ(ring.dropped(), 1u);
-}
-
-// Concurrent writers + a live reader: every snapshotted event must be
-// internally consistent (origin encodes the writer, arg0 its sequence and
-// at_nanos a function of both), proving torn slots are never returned.
-// The TSan cooperative lane runs this test for the data-race proof.
-TEST(EventJournalTest, ConcurrentRecordSnapshotIsConsistent) {
-  constexpr int kWriters = 4;
-  constexpr int kPerWriter = 5000;
-  EventJournal ring(256);
-  std::atomic<bool> stop{false};
-
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      for (const JournalEvent& e : ring.Snapshot()) {
-        ASSERT_GE(e.origin, 0);
-        ASSERT_LT(e.origin, kWriters);
-        ASSERT_EQ(e.at_nanos, e.origin * 1000000 + e.arg0);
-        ASSERT_EQ(e.type, JournalEventType::kRemoteThrottleOn);
-      }
-    }
-  });
-
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&ring, w] {
-      for (int i = 0; i < kPerWriter; ++i) {
-        ring.Record(JournalEventType::kRemoteThrottleOn, w, -1,
-                    w * 1000000 + i, i, 0);
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-  stop.store(true, std::memory_order_release);
-  reader.join();
-
-  EXPECT_EQ(ring.total_recorded(),
-            static_cast<uint64_t>(kWriters) * kPerWriter);
-  EXPECT_EQ(ring.dropped(),
-            static_cast<uint64_t>(kWriters) * kPerWriter - 256);
-  EXPECT_EQ(ring.Snapshot().size(), 256u);
-}
-
-// -- SliceRing -------------------------------------------------------------
-
-TEST(SliceRingTest, WraparoundKeepsNewestAndCountsDropped) {
-  SliceRing ring(4);
-  for (int i = 0; i < 7; ++i) {
-    ring.Record(/*worker=*/i % 2, /*tasklet=*/i, 100 * i, 50);
-  }
-  const std::vector<SchedSlice> slices = ring.Snapshot();
-  ASSERT_EQ(slices.size(), 4u);
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(slices[i].tasklet, 3 + i);
-    EXPECT_EQ(slices[i].start_nanos, 100 * (3 + i));
-    EXPECT_EQ(slices[i].dur_nanos, 50);
-  }
-  EXPECT_EQ(ring.total_recorded(), 7u);
-  EXPECT_EQ(ring.dropped(), 3u);
-}
-
-TEST(SliceRingTest, ConcurrentRecordSnapshotIsConsistent) {
-  constexpr int kWriters = 4;
-  constexpr int kPerWriter = 5000;
-  SliceRing ring(128);
-  std::atomic<bool> stop{false};
-
-  std::thread reader([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      for (const SchedSlice& s : ring.Snapshot()) {
-        ASSERT_GE(s.worker, 0);
-        ASSERT_LT(s.worker, kWriters);
-        ASSERT_EQ(s.start_nanos, s.worker * 1000000 + s.tasklet);
-      }
-    }
-  });
-
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&ring, w] {
-      for (int i = 0; i < kPerWriter; ++i) {
-        ring.Record(w, i, w * 1000000 + i, 10);
-      }
-    });
-  }
-  for (auto& t : writers) t.join();
-  stop.store(true, std::memory_order_release);
-  reader.join();
-
-  EXPECT_EQ(ring.total_recorded(),
-            static_cast<uint64_t>(kWriters) * kPerWriter);
 }
 
 // -- Journal digest --------------------------------------------------------

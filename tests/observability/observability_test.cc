@@ -1,12 +1,11 @@
-// Unit tests for the observability layer: the wait-free span ring (incl.
-// wraparound accounting), the telescoping trace breakdown, the JSON
-// writer/parser, the TMaster MetricsCache's windowed rollups and their
-// state-tree publication, and the TopologySnapshot round trip.
+// Unit tests for the observability layer: trace stage names, the
+// telescoping trace breakdown, the JSON writer/parser, the TMaster
+// MetricsCache's windowed rollups and their state-tree publication, and
+// the TopologySnapshot round trip. The span ring's mechanics are tested
+// with the other StampedRing codecs in stamped_ring_test.cc.
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <thread>
 #include <vector>
 
 #include "observability/json.h"
@@ -20,60 +19,9 @@ namespace heron {
 namespace observability {
 namespace {
 
-// -- SpanCollector ---------------------------------------------------------
+// -- TraceStage ------------------------------------------------------------
 
-TEST(SpanCollectorTest, RecordsAndSnapshotsInOrder) {
-  SpanCollector ring(8);
-  ring.Record(1, TraceStage::kSpoutEmit, 0, 100);
-  ring.Record(1, TraceStage::kSmgrRoute, 0, 110);
-  ring.Record(2, TraceStage::kSpoutEmit, 0, 120);
-
-  const std::vector<Span> spans = ring.Snapshot();
-  ASSERT_EQ(spans.size(), 3u);
-  EXPECT_EQ(spans[0], (Span{1, TraceStage::kSpoutEmit, 0, 100}));
-  EXPECT_EQ(spans[1], (Span{1, TraceStage::kSmgrRoute, 0, 110}));
-  EXPECT_EQ(spans[2], (Span{2, TraceStage::kSpoutEmit, 0, 120}));
-  EXPECT_EQ(ring.total_recorded(), 3u);
-  EXPECT_EQ(ring.dropped(), 0u);
-}
-
-TEST(SpanCollectorTest, WraparoundKeepsNewestAndCountsDropped) {
-  SpanCollector ring(4);
-  for (uint64_t i = 0; i < 10; ++i) {
-    ring.Record(i, TraceStage::kExecute, 7, static_cast<int64_t>(1000 + i));
-  }
-  EXPECT_EQ(ring.total_recorded(), 10u);
-  EXPECT_EQ(ring.dropped(), 6u);
-
-  const std::vector<Span> spans = ring.Snapshot();
-  ASSERT_EQ(spans.size(), 4u);
-  // Oldest-first among the survivors: records 6, 7, 8, 9.
-  for (size_t i = 0; i < spans.size(); ++i) {
-    EXPECT_EQ(spans[i].trace_id, 6 + i);
-    EXPECT_EQ(spans[i].at_nanos, static_cast<int64_t>(1006 + i));
-  }
-}
-
-TEST(SpanCollectorTest, ConcurrentRecordersLoseNothing) {
-  SpanCollector ring(1 << 14);
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 1000;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&ring, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        ring.Record(static_cast<uint64_t>(t) * kPerThread + i,
-                    TraceStage::kSmgrRoute, t, i);
-      }
-    });
-  }
-  for (auto& thread : threads) thread.join();
-  EXPECT_EQ(ring.total_recorded(), kThreads * kPerThread);
-  EXPECT_EQ(ring.dropped(), 0u);
-  EXPECT_EQ(ring.Snapshot().size(), kThreads * kPerThread);
-}
-
-TEST(SpanCollectorTest, StageNamesAreStable) {
+TEST(TraceStageTest, NamesAreStable) {
   EXPECT_STREQ(TraceStageName(TraceStage::kSpoutEmit), "spout_emit");
   EXPECT_STREQ(TraceStageName(TraceStage::kSmgrRoute), "smgr_route");
   EXPECT_STREQ(TraceStageName(TraceStage::kTransportHop), "transport_hop");
