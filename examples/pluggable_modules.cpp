@@ -15,8 +15,7 @@
 #include <thread>
 
 #include "common/logging.h"
-#include "frameworks/aurora_like_framework.h"
-#include "frameworks/yarn_like_framework.h"
+#include "frameworks/sim_framework.h"
 #include "packing/packing_registry.h"
 #include "packing/round_robin_packing.h"
 #include "runtime/local_cluster.h"
@@ -66,7 +65,8 @@ void DemoSchedulers() {
   cluster.AddNodes(8, Resource(32, 65536, 0));
   NoopLauncher launcher;
 
-  frameworks::AuroraLikeFramework aurora(&cluster);
+  frameworks::SimFramework aurora(frameworks::FrameworkKind::kAurora,
+                                 &cluster);
   scheduler::FrameworkScheduler stateless(&aurora, &launcher);
   HERON_CHECK_OK(stateless.Initialize(Config()));
   HERON_CHECK_OK(stateless.OnSchedule(*plan));
@@ -76,7 +76,7 @@ void DemoSchedulers() {
               stateless.failovers_handled());
   HERON_CHECK_OK(stateless.OnKill({"demo"}));
 
-  frameworks::YarnLikeFramework yarn(&cluster);
+  frameworks::SimFramework yarn(frameworks::FrameworkKind::kYarn, &cluster);
   scheduler::FrameworkScheduler stateful(&yarn, &launcher);
   HERON_CHECK_OK(stateful.Initialize(Config()));
   HERON_CHECK_OK(stateful.OnSchedule(*plan));

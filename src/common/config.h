@@ -64,7 +64,6 @@ class Config {
 namespace config_keys {
 
 // Topology-level.
-inline constexpr char kTopologyName[] = "heron.topology.name";
 inline constexpr char kAckingEnabled[] = "heron.topology.acking";
 inline constexpr char kMessageTimeoutMs[] = "heron.topology.message.timeout.ms";
 inline constexpr char kMaxSpoutPending[] = "heron.topology.max.spout.pending";
@@ -73,14 +72,11 @@ inline constexpr char kMaxSpoutPending[] = "heron.topology.max.spout.pending";
 inline constexpr char kPackingAlgorithm[] = "heron.packing.algorithm";
 inline constexpr char kContainerCpuHint[] = "heron.packing.container.cpu";
 inline constexpr char kContainerRamMbHint[] = "heron.packing.container.ram.mb";
-inline constexpr char kContainerDiskMbHint[] = "heron.packing.container.disk.mb";
 inline constexpr char kNumContainersHint[] = "heron.packing.num.containers";
 /// MCTS packing (heron.packing.algorithm = MCTS): search budget in
-/// simulations per decision, UCT exploration constant, and the RNG seed
-/// (the search is deterministic for a fixed seed — two-universe tests
-/// depend on it).
+/// simulations per decision and the RNG seed (the search is deterministic
+/// for a fixed seed — two-universe tests depend on it).
 inline constexpr char kMctsIterations[] = "heron.packing.mcts.iterations";
-inline constexpr char kMctsExploration[] = "heron.packing.mcts.exploration";
 inline constexpr char kMctsSeed[] = "heron.packing.mcts.seed";
 /// Per-instance emit rate hint (tuples/sec) weighing a component's output
 /// edges in the MCTS cost function: heron.packing.mcts.rate.<component>.
@@ -98,9 +94,6 @@ inline constexpr char kScalingBackpressureRatio[] =
 /// Per-task throughput skew (max/mean within a component) above which a
 /// window counts as hot. 0 disables the skew detector.
 inline constexpr char kScalingSkewThreshold[] = "heron.scaling.skew.threshold";
-/// p90 complete-latency rise (newest window / rolling baseline) above
-/// which a window counts as hot. 0 disables the latency detector.
-inline constexpr char kScalingLatencyRise[] = "heron.scaling.latency.rise";
 /// Consecutive hot windows before the engine fires (hysteresis: one
 /// healthy window resets the streak).
 inline constexpr char kScalingHotWindows[] = "heron.scaling.hot.windows";
@@ -174,19 +167,12 @@ inline constexpr char kCheckpointIntervalMs[] = "heron.checkpoint.interval.ms";
 /// latest globally-complete checkpoint and replay from the snapshotted
 /// spout offsets).
 inline constexpr char kCheckpointMode[] = "heron.checkpoint.mode";
-/// Cap on the WordSpout replay-tracking maps (`inflight_` and the replay
-/// queue); beyond it new emissions are not tracked for replay and
-/// `replay.dropped` counts the loss.
-inline constexpr char kSpoutReplayTrackLimit[] =
-    "heron.spout.replay.track.limit";
 
 // Stream manager.
 inline constexpr char kCacheDrainFrequencyMs[] =
     "heron.streammgr.cache.drain.frequency.ms";
 inline constexpr char kCacheDrainSizeBytes[] =
     "heron.streammgr.cache.drain.size.bytes";
-inline constexpr char kSmgrOptimizationsEnabled[] =
-    "heron.streammgr.optimizations.enabled";
 /// Parked retry entries at which an SMGR starts a cluster-wide
 /// backpressure episode (kStartBackpressure to every peer).
 inline constexpr char kBackpressureHighWater[] =
@@ -223,9 +209,6 @@ inline constexpr char kTraceRingCapacity[] =
 /// Width of one MetricsCache aggregation window in seconds.
 inline constexpr char kMetricsCacheWindowSec[] =
     "heron.observability.metricscache.window.sec";
-/// Number of rolling windows the MetricsCache retains per metric.
-inline constexpr char kMetricsCacheMaxWindows[] =
-    "heron.observability.metricscache.max.windows";
 /// Max retained collection rounds per source in InMemorySink before the
 /// oldest rounds are evicted (bounded-memory satellite).
 inline constexpr char kInMemorySinkMaxRounds[] =

@@ -74,7 +74,7 @@ class MetricsCache final : public metrics::IMetricsSink {
  public:
   struct Options {
     int64_t window_nanos = 1'000'000'000;  ///< kMetricsCacheWindowSec.
-    size_t max_windows = 60;               ///< kMetricsCacheMaxWindows.
+    size_t max_windows = 60;               ///< Rolling windows retained.
   };
 
   MetricsCache() : MetricsCache(Options()) {}

@@ -11,6 +11,9 @@ namespace packing {
 
 namespace {
 
+/// UCT exploration constant (≈√2, the textbook choice).
+constexpr double kExploration = 1.4;
+
 /// One node of the search tree: a placement prefix. Children are keyed by
 /// the container id chosen for the next instance, which is stable across
 /// iterations because the path to a node fully determines which fresh
@@ -50,7 +53,6 @@ Status MctsPacking::Initialize(const Config& config,
   if (iterations_ < 1) {
     return Status::InvalidArgument("MCTS iteration budget must be >= 1");
   }
-  exploration_ = config_.GetDoubleOr(config_keys::kMctsExploration, 1.4);
   seed_ = static_cast<uint64_t>(config_.GetIntOr(config_keys::kMctsSeed, 42));
   return Status::OK();
 }
@@ -336,7 +338,7 @@ Result<PackingPlan> MctsPacking::Search(const PackingPlan& base,
       for (const auto& [action, child] : node->children) {
         const double mean = child->value_sum / child->visits;
         const double uct =
-            mean + exploration_ * std::sqrt(std::log(node->visits + 1.0) /
+            mean + kExploration * std::sqrt(std::log(node->visits + 1.0) /
                                             child->visits);
         if (uct > best_uct) {
           best_uct = uct;

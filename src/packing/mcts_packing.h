@@ -80,7 +80,6 @@ class MctsPacking final : public IPacking {
   PlacementCostWeights weights_;
   PlacementCost last_cost_;
   int iterations_ = 256;
-  double exploration_ = 1.4;
   uint64_t seed_ = 42;
 };
 

@@ -28,7 +28,7 @@ Resource ContainerCapacityFromConfig(const Config& config) {
   return Resource(
       config.GetDoubleOr(config_keys::kContainerCpuHint, 8.0),
       config.GetIntOr(config_keys::kContainerRamMbHint, 16384),
-      config.GetIntOr(config_keys::kContainerDiskMbHint, 65536));
+      /*disk_mb=*/65536);
 }
 
 Result<PackingPlan> RepackMinimalDisruption(

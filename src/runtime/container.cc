@@ -43,8 +43,6 @@ Status Container::StartInternal(bool step_mode) {
   smgr_options.container = plan_.id;
   smgr_options.acking =
       config_.GetBoolOr(config_keys::kAckingEnabled, false);
-  smgr_options.optimizations =
-      config_.GetBoolOr(config_keys::kSmgrOptimizationsEnabled, true);
   smgr_options.cache_drain_frequency_ms =
       config_.GetIntOr(config_keys::kCacheDrainFrequencyMs, 10);
   smgr_options.cache_drain_size_bytes = static_cast<size_t>(

@@ -8,10 +8,7 @@
 #include "common/logging.h"
 #include "common/strings.h"
 #include "observability/trace_export.h"
-#include "frameworks/aurora_like_framework.h"
-#include "frameworks/marathon_like_framework.h"
-#include "frameworks/slurm_like_framework.h"
-#include "frameworks/yarn_like_framework.h"
+#include "frameworks/sim_framework.h"
 #include "smgr/stream_manager.h"
 
 namespace heron {
@@ -19,8 +16,7 @@ namespace runtime {
 
 LocalCluster::LocalCluster(Config cluster_config, const Clock* clock)
     : cluster_config_(std::move(cluster_config)),
-      transport_(cluster_config_.GetBoolOr(
-          config_keys::kSmgrOptimizationsEnabled, true)),
+      transport_(/*pooling_enabled=*/true),
       clock_(clock != nullptr ? clock : RealClock::Get()) {
   HERON_CHECK_OK(state_.Initialize(cluster_config_));
   recovery_detect_ms_ = recovery_metrics_.GetHistogram("recovery.detect.ms");
@@ -243,8 +239,6 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
   cache_options.window_nanos =
       merged_config_.GetIntOr(config_keys::kMetricsCacheWindowSec, 1) *
       1'000'000'000;
-  cache_options.max_windows = static_cast<size_t>(
-      merged_config_.GetIntOr(config_keys::kMetricsCacheMaxWindows, 60));
   metrics_cache_ = std::make_shared<observability::MetricsCache>(cache_options);
   metrics_cache_->SetPublishTarget(&state_);
   trace_sample_inverse_ =
@@ -307,28 +301,16 @@ Status LocalCluster::BuildScheduler(const packing::PackingPlan& plan) {
     scheduler_ = std::make_unique<scheduler::LocalScheduler>(this);
     return Status::OK();
   }
+  HERON_ASSIGN_OR_RETURN(const frameworks::FrameworkKind framework_kind,
+                         frameworks::ParseFrameworkKind(kind));
   // Simulated machine substrate: enough identical nodes for the plan plus
   // headroom, so a restarted container always finds a slot even while the
   // dead one's allocation lingers for a tick.
   sim_cluster_ = std::make_unique<frameworks::SimCluster>();
   sim_cluster_->AddNodes(plan.NumContainers() + 2,
                          plan.MaxContainerResource());
-  if (kind == "aurora") {
-    framework_ = std::make_unique<frameworks::AuroraLikeFramework>(
-        sim_cluster_.get());
-  } else if (kind == "marathon") {
-    framework_ = std::make_unique<frameworks::MarathonLikeFramework>(
-        sim_cluster_.get());
-  } else if (kind == "yarn") {
-    framework_ =
-        std::make_unique<frameworks::YarnLikeFramework>(sim_cluster_.get());
-  } else if (kind == "slurm") {
-    framework_ =
-        std::make_unique<frameworks::SlurmLikeFramework>(sim_cluster_.get());
-  } else {
-    return Status::InvalidArgument(
-        StrFormat("unknown scheduler kind '%s'", kind.c_str()));
-  }
+  framework_ = std::make_unique<frameworks::SimFramework>(framework_kind,
+                                                          sim_cluster_.get());
   auto fs = std::make_unique<scheduler::FrameworkScheduler>(framework_.get(),
                                                             this);
   framework_scheduler_ = fs.get();
@@ -387,48 +369,98 @@ Status LocalCluster::Kill() {
 Status LocalCluster::Scale(const ComponentId& component,
                            int new_parallelism) {
   if (!running()) return Status::FailedPrecondition("nothing running");
-  const packing::PackingPlan old_packing = current_packing_plan();
+  HERON_ASSIGN_OR_RETURN(packing::PackingPlan new_plan,
+                         Repack(component, new_parallelism));
+  // Survivors must restart onto the new physical plan (routing tables are
+  // per-plan); capture them before the scheduler applies the diff.
+  std::vector<ContainerId> live;
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    for (const auto& [id, _] : containers_) live.push_back(id);
+  }
+  return SwapPlan(new_plan, new_parallelism, "scale", live);
+}
 
+Status LocalCluster::ScaleWithRollback(const ComponentId& component,
+                                       int new_parallelism) {
+  if (!running()) return Status::FailedPrecondition("nothing running");
+  if (checkpoint_coordinator_ == nullptr || !checkpoint_exactly_once_) {
+    // Without exactly-once checkpointing there is no epoch to roll back
+    // to; the plain scale path (at-least-once ack-replay) applies.
+    return Scale(component, new_parallelism);
+  }
+
+  // 1. Freeze the checkpoint epoch: abort the in-flight checkpoint (its
+  //    task set is about to change) and pick the restore target.
+  const uint64_t restore_id = checkpoint_coordinator_->latest_complete();
+  checkpoint_coordinator_->AbortInFlight();
+  HLOG(WARNING) << "scaling '" << component << "' to " << new_parallelism
+                << " via rollback to checkpoint " << restore_id;
+
+  HERON_ASSIGN_OR_RETURN(packing::PackingPlan new_plan,
+                         Repack(component, new_parallelism));
+
+  // 2. Halt every live container — the global rollback contract: tuples
+  //    in flight past the checkpoint are of the doomed epoch and must be
+  //    discarded, not drained onto a plan that no longer routes them.
+  //    Then swap the plan and restart the halted incumbents on it (their
+  //    instances restore the checkpoint; repack-added containers start
+  //    cold — MaybeRestore tolerates tasks the checkpoint never knew) and
+  //    the spouts re-emit the post-checkpoint suffix onto the new routing
+  //    tables.
+  return RollBack(restore_id, [&](const std::vector<ContainerId>& halted) {
+    if (control_journal_ != nullptr) {
+      control_journal_->Record(
+          observability::JournalEventType::kCheckpointRestore,
+          /*origin=*/-1, /*task=*/-1, clock_->NowNanos(),
+          /*arg0=*/static_cast<int64_t>(restore_id),
+          /*arg1=*/static_cast<int64_t>(halted.size()));
+    }
+    return SwapPlan(new_plan, new_parallelism, "scale-rollback", halted);
+  });
+}
+
+Result<packing::PackingPlan> LocalCluster::Repack(const ComponentId& component,
+                                                  int new_parallelism) {
   // TMaster coordinates the repack (§IV-A) and publishes the plan.
   HERON_ASSIGN_OR_RETURN(
       packing::PackingPlan new_plan,
       tmaster_->ScaleTopology(packing_.get(), {{component, new_parallelism}}));
-
   // The topology object must reflect the new parallelism so the physical
   // plan validates and instances get the right context.
   HERON_ASSIGN_OR_RETURN(api::Topology scaled,
                          topology_->WithParallelism(component,
                                                     new_parallelism));
   topology_ = std::make_shared<const api::Topology>(std::move(scaled));
+  return new_plan;
+}
 
-  // Survivors must restart onto the new physical plan (routing tables are
-  // per-plan); capture them before the scheduler applies the diff.
-  std::vector<ContainerId> survivors;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [id, _] : containers_) {
-      if (new_plan.FindContainer(id) != nullptr) survivors.push_back(id);
-    }
-  }
+Status LocalCluster::SwapPlan(const packing::PackingPlan& new_plan,
+                              int new_parallelism, const char* why,
+                              const std::vector<ContainerId>& restart) {
+  const packing::PackingPlan old_plan = current_packing_plan();
 
+  // Install the plan everywhere: physical plan (+ metrics cache and
+  // scaling-engine attribution) and the coordinator's completion fence,
+  // which also aborts any in-flight checkpoint: its task set just changed.
   HERON_RETURN_NOT_OK(BuildAndInstallPhysicalPlan(new_plan));
   if (control_journal_ != nullptr) {
     control_journal_->Record(observability::JournalEventType::kPlanSwap,
                              /*origin=*/-1, /*task=*/-1, clock_->NowNanos(),
                              /*arg0=*/new_plan.NumContainers(),
-                             /*arg1=*/new_parallelism, "scale");
+                             /*arg1=*/new_parallelism, why);
   }
   if (checkpoint_coordinator_ != nullptr) {
-    // Aborts any in-flight checkpoint too: its task set just changed.
     checkpoint_coordinator_->SetPlan(physical_plan());
   }
 
   // Plan-change hygiene for removed containers that are *already dead*
-  // (hard-killed, not yet recovered): the graceful StopContainer below
-  // will answer NotFound for them, so nothing else would ever stop
-  // expecting their heartbeats, clear their recovery marker, or release
-  // the throttle refs their SMGR stranded on survivors mid-episode.
-  for (const auto& c : old_packing.containers()) {
+  // (hard-killed, or halted by RollBack): the scheduler's stop finds
+  // nothing to stop, so nothing else would ever stop expecting their
+  // heartbeats, clear their recovery marker (a later same-id container
+  // must not boot as a recovered incarnation), or release the throttle
+  // refs their SMGR stranded on survivors mid-episode.
+  for (const auto& c : old_plan.containers()) {
     if (new_plan.FindContainer(c.id) != nullptr) continue;
     bool was_failed = false;
     {
@@ -442,95 +474,18 @@ Status LocalCluster::Scale(const ComponentId& component,
   }
 
   // Scheduler applies the container diff (§IV-B onUpdate): stops removed,
-  // starts added (on the new plan).
-  HERON_RETURN_NOT_OK(
-      scheduler_->OnUpdate({topology_->name(), new_plan}));
-
-  for (const ContainerId id : survivors) {
-    HERON_RETURN_NOT_OK(StopContainer(id));
+  // starts added (on the new plan). Then every container in `restart` the
+  // repack kept comes back up on the new plan; one RollBack halted is
+  // already down, so NotFound from the stop is an answer, not an error.
+  HERON_RETURN_NOT_OK(scheduler_->OnUpdate({topology_->name(), new_plan}));
+  for (const ContainerId id : restart) {
     const packing::ContainerPlan* c = new_plan.FindContainer(id);
+    if (c == nullptr) continue;  // Removed by the repack.
+    const Status stop = StopContainer(id);
+    if (!stop.ok() && !stop.IsNotFound()) return stop;
     HERON_RETURN_NOT_OK(StartContainer(*c));
   }
   return Status::OK();
-}
-
-Status LocalCluster::ScaleWithRollback(const ComponentId& component,
-                                       int new_parallelism) {
-  if (!running()) return Status::FailedPrecondition("nothing running");
-  if (checkpoint_coordinator_ == nullptr || !checkpoint_exactly_once_) {
-    // Without exactly-once checkpointing there is no epoch to roll back
-    // to; the plain scale path (at-least-once ack-replay) applies.
-    return Scale(component, new_parallelism);
-  }
-  const packing::PackingPlan old_plan = current_packing_plan();
-
-  // 1. Freeze the checkpoint epoch: abort the in-flight checkpoint (its
-  //    task set is about to change) and pick the restore target.
-  const uint64_t restore_id = checkpoint_coordinator_->latest_complete();
-  checkpoint_coordinator_->AbortInFlight();
-  HLOG(WARNING) << "scaling '" << component << "' to " << new_parallelism
-                << " via rollback to checkpoint " << restore_id;
-
-  // 2. TMaster coordinates the repack and publishes the plan; the
-  //    topology object follows so the physical plan validates.
-  HERON_ASSIGN_OR_RETURN(
-      packing::PackingPlan new_plan,
-      tmaster_->ScaleTopology(packing_.get(), {{component, new_parallelism}}));
-  HERON_ASSIGN_OR_RETURN(
-      api::Topology scaled,
-      topology_->WithParallelism(component, new_parallelism));
-  topology_ = std::make_shared<const api::Topology>(std::move(scaled));
-
-  // 3. Halt every live container — the global rollback contract: tuples
-  //    in flight past the checkpoint are of the doomed epoch and must be
-  //    discarded, not drained onto a plan that no longer routes them.
-  return RollBack(restore_id, [&](const std::vector<ContainerId>& halted) {
-    // 4. Swap the plan everywhere: physical plan (+ metrics cache and
-    //    scaling-engine attribution) and the coordinator's completion
-    //    fence.
-    HERON_RETURN_NOT_OK(BuildAndInstallPhysicalPlan(new_plan));
-    if (control_journal_ != nullptr) {
-      control_journal_->Record(observability::JournalEventType::kPlanSwap,
-                               /*origin=*/-1, /*task=*/-1, clock_->NowNanos(),
-                               /*arg0=*/new_plan.NumContainers(),
-                               /*arg1=*/new_parallelism, "scale-rollback");
-      control_journal_->Record(
-          observability::JournalEventType::kCheckpointRestore,
-          /*origin=*/-1, /*task=*/-1, clock_->NowNanos(),
-          /*arg0=*/static_cast<int64_t>(restore_id),
-          /*arg1=*/static_cast<int64_t>(halted.size()));
-    }
-    checkpoint_coordinator_->SetPlan(physical_plan());
-
-    // 5. Plan-change hygiene for containers the repack removed: stop
-    //    expecting their heartbeats, clear their recovery marker (they
-    //    will never restart, so a later same-id container must not boot as
-    //    a recovered incarnation), and broadcast kStop on their behalf so
-    //    no registered SMGR keeps a throttle ref a vanished initiator can
-    //    never release.
-    for (const auto& c : old_plan.containers()) {
-      if (new_plan.FindContainer(c.id) != nullptr) continue;
-      tmaster_->ForgetContainer(c.id).ok();
-      {
-        std::lock_guard<std::mutex> lock(mutex_);
-        failed_containers_.erase(c.id);
-      }
-      smgr::AnnounceInitiatorRemoved(&transport_, c.id);
-    }
-
-    // 6. Scheduler applies the diff (repack-added containers start now,
-    //    their instances cold — MaybeRestore tolerates tasks the checkpoint
-    //    never knew), then the halted incumbents restart on the new plan;
-    //    the spouts re-emit the post-checkpoint suffix onto the new
-    //    routing tables.
-    HERON_RETURN_NOT_OK(scheduler_->OnUpdate({topology_->name(), new_plan}));
-    for (const ContainerId id : halted) {
-      const packing::ContainerPlan* c = new_plan.FindContainer(id);
-      if (c == nullptr) continue;  // Removed by the repack.
-      HERON_RETURN_NOT_OK(StartContainer(*c));
-    }
-    return Status::OK();
-  });
 }
 
 Status LocalCluster::RestartContainer(ContainerId id) {

@@ -257,6 +257,16 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   /// Builds the scheduler stack for `heron.scheduler.kind` (local direct
   /// launch, or a simulated framework + FrameworkScheduler).
   Status BuildScheduler(const packing::PackingPlan& plan);
+  /// TMaster repack of `component` to `new_parallelism`; the topology
+  /// object follows. Returns the new packing plan (not yet installed).
+  Result<packing::PackingPlan> Repack(const ComponentId& component,
+                                      int new_parallelism);
+  /// The plan swap both scale paths share: installs `new_plan` (journaled
+  /// as a kPlanSwap tagged `why`), forgets removed containers that are
+  /// already dead, applies the diff through the scheduler, then restarts
+  /// every container in `restart` that the new plan kept.
+  Status SwapPlan(const packing::PackingPlan& new_plan, int new_parallelism,
+                  const char* why, const std::vector<ContainerId>& restart);
   /// TMaster liveness transition: metrics + routing to the Scheduler.
   void OnContainerEvent(const tmaster::TopologyMaster::ContainerEvent& event);
   /// Chaos: maybe hard-kill one random live container this monitor tick.

@@ -19,7 +19,6 @@ ScalingPolicyEngine::Options ScalingPolicyEngine::Options::FromConfig(
       config.GetDoubleOr(config_keys::kScalingBackpressureRatio, 0.25);
   o.skew_threshold =
       config.GetDoubleOr(config_keys::kScalingSkewThreshold, 0);
-  o.latency_rise = config.GetDoubleOr(config_keys::kScalingLatencyRise, 0);
   o.hot_windows = static_cast<int>(
       config.GetIntOr(config_keys::kScalingHotWindows, 3));
   o.cooldown_ms = config.GetIntOr(config_keys::kScalingCooldownMs, 10000);
@@ -63,8 +62,7 @@ void ScalingPolicyEngine::SetScalableComponents(
 }
 
 ScalingPolicyEngine::Verdict ScalingPolicyEngine::JudgeWindowLocked(
-    const observability::ComponentRollup& topo,
-    const std::vector<observability::ComponentRollup>& rollups) {
+    const observability::ComponentRollup& topo) {
   Verdict v;
 
   // Backpressure: time under cluster-wide throttling as a fraction of the
@@ -112,18 +110,6 @@ ScalingPolicyEngine::Verdict ScalingPolicyEngine::JudgeWindowLocked(
       }
     }
   }
-
-  // Latency: p90 complete latency rose against the rolling healthy
-  // baseline (updated only on healthy windows, so a sustained regression
-  // cannot drag its own reference up).
-  if (options_.latency_rise > 0 && latency_baseline_ms_ > 0 &&
-      topo.latency_p90_ms >=
-          latency_baseline_ms_ * options_.latency_rise) {
-    v.hot = true;
-    v.reason = "latency";
-    return v;
-  }
-  (void)rollups;
   return v;
 }
 
@@ -193,16 +179,9 @@ bool ScalingPolicyEngine::Tick() {
 
     const std::vector<observability::ComponentRollup> rollups =
         cache_->ComponentRollups();
-    const Verdict verdict = JudgeWindowLocked(topo, rollups);
+    const Verdict verdict = JudgeWindowLocked(topo);
     if (!verdict.hot) {
       hot_streak_ = 0;
-      // Healthy window: fold its p90 into the latency baseline.
-      if (topo.latency_p90_ms > 0) {
-        latency_baseline_ms_ =
-            latency_baseline_ms_ == 0
-                ? topo.latency_p90_ms
-                : 0.7 * latency_baseline_ms_ + 0.3 * topo.latency_p90_ms;
-      }
       return false;
     }
     ++hot_streak_;

@@ -23,14 +23,12 @@ namespace tmaster {
 /// based on the load").
 ///
 /// Rides the monitor tick. Each completed MetricsCache window is judged
-/// exactly once against three hot-signals:
+/// exactly once against two hot-signals:
 ///  - backpressure: the topology spent more than `backpressure_ratio` of
 ///    the window under cluster-wide backpressure (rollup duration deltas,
 ///    cross-checked against the live /backpressure/<container> markers);
 ///  - skew: within some component, max/mean per-task processed delta
-///    exceeds `skew_threshold` (one instance is the straggler);
-///  - latency: the spout p90 complete latency rose more than
-///    `latency_rise`× over its rolling healthy baseline.
+///    exceeds `skew_threshold` (one instance is the straggler).
 ///
 /// A window with any signal extends the hot streak; a healthy window
 /// resets it (hysteresis). After `hot_windows` consecutive hot windows —
@@ -55,7 +53,6 @@ class ScalingPolicyEngine {
     bool enabled = false;
     double backpressure_ratio = 0.25;     ///< kScalingBackpressureRatio.
     double skew_threshold = 0;            ///< kScalingSkewThreshold; 0 = off.
-    double latency_rise = 0;              ///< kScalingLatencyRise; 0 = off.
     int hot_windows = 3;                  ///< kScalingHotWindows.
     int64_t cooldown_ms = 10000;          ///< kScalingCooldownMs.
     double factor = 2.0;                  ///< kScalingFactor.
@@ -74,7 +71,7 @@ class ScalingPolicyEngine {
     std::string component;
     int from = 0;
     int to = 0;
-    std::string reason;  ///< "backpressure" | "skew" | "latency".
+    std::string reason;  ///< "backpressure" | "skew".
     int64_t decided_at_nanos = 0;
     std::string outcome;  ///< "applied" or the executor's error string.
 
@@ -115,9 +112,7 @@ class ScalingPolicyEngine {
     ComponentId skewed;  ///< Set when the skew detector fired.
   };
 
-  Verdict JudgeWindowLocked(
-      const observability::ComponentRollup& topo,
-      const std::vector<observability::ComponentRollup>& rollups);
+  Verdict JudgeWindowLocked(const observability::ComponentRollup& topo);
   /// The busiest scalable component by processed delta (skew target wins
   /// when set). Empty when nothing is scalable.
   ComponentId PickTargetLocked(
@@ -136,7 +131,6 @@ class ScalingPolicyEngine {
   std::map<TaskId, ComponentId> task_component_;
   int64_t last_window_nanos_ = -1;   ///< Newest window already judged.
   int hot_streak_ = 0;
-  double latency_baseline_ms_ = 0;   ///< EWMA of healthy-window p90.
   int64_t last_action_nanos_ = 0;
   uint64_t next_seq_ = 1;
   std::vector<Decision> history_;

@@ -44,9 +44,6 @@ void WordSpout::Open(const Config& config, api::TopologyContext* context,
                      api::ISpoutOutputCollector* collector) {
   collector_ = collector;
   acking_ = config.GetBoolOr(config_keys::kAckingEnabled, false);
-  options_.replay_track_limit = static_cast<size_t>(
-      config.GetIntOr(config_keys::kSpoutReplayTrackLimit,
-                      static_cast<int64_t>(options_.replay_track_limit)));
   replay_dropped_counter_ = context->metrics()->GetCounter("replay.dropped");
   if (options_.dictionary_size == 450000) {
     dictionary_ = &WordDictionary::Default();
@@ -96,7 +93,7 @@ void WordSpout::NextTuple() {
     const std::string& word = dictionary_->WordAt(index);
     if (acking_ && emitted_ >= options_.warmup_emits) {
       if (options_.replay_failed) {
-        if (inflight_.size() < options_.replay_track_limit) {
+        if (inflight_.size() < kReplayTrackLimit) {
           inflight_[next_message_id_] = index;
         } else {
           // Tracking is full (endless outage): this word cannot be

@@ -61,12 +61,6 @@ class WordSpout final : public api::IStatefulSpout {
     /// remains the zero-loss acceptance condition under faults. Off in
     /// exactly-once mode, where checkpoint restore owns recovery.
     bool replay_failed = false;
-    /// Cap on the replay-tracking maps (`inflight_` + the pending-replay
-    /// set): an endless downstream outage must not grow them without
-    /// bound. Beyond the cap new emissions go untracked (unable to
-    /// replay) and the `replay.dropped` counter records each loss.
-    /// Overridden by `heron.spout.replay.track.limit` when set.
-    size_t replay_track_limit = 1 << 16;
     /// First N words go out unanchored even with acking on: they carry no
     /// message id, join no tuple tree, and therefore leave no complete-
     /// latency sample. Latency benches use this as a warmup phase — cold-
@@ -120,7 +114,7 @@ class WordSpout final : public api::IStatefulSpout {
   uint64_t replayed() const { return replayed_; }
   /// Words emitted but neither acked nor failed yet (replay_failed mode).
   size_t inflight() const { return inflight_.size(); }
-  /// Emissions that exceeded `replay_track_limit` and went untracked.
+  /// Emissions that exceeded `kReplayTrackLimit` and went untracked.
   uint64_t replay_dropped() const { return replay_dropped_; }
 
  private:
@@ -142,8 +136,13 @@ class WordSpout final : public api::IStatefulSpout {
   /// capped at `words_per_call` so a stalled spout cannot bank debt.
   int64_t rate_epoch_nanos_ = -1;
   double rate_tokens_ = 0;
+  /// Cap on the replay-tracking maps (`inflight_` + the pending-replay
+  /// set): an endless downstream outage must not grow them without
+  /// bound. Beyond the cap new emissions go untracked (unable to
+  /// replay) and the `replay.dropped` counter records each loss.
+  static constexpr size_t kReplayTrackLimit = 1 << 16;
   /// message id → dictionary index of the word it carried (replay mode).
-  /// Bounded by `replay_track_limit`.
+  /// Bounded by `kReplayTrackLimit`.
   std::unordered_map<int64_t, size_t> inflight_;
   /// Failed ids awaiting re-emission, FIFO. Members mirror
   /// `replay_pending_`, which both dedupes and bounds the queue.

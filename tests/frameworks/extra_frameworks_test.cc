@@ -5,8 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "frameworks/marathon_like_framework.h"
-#include "frameworks/slurm_like_framework.h"
+#include "frameworks/sim_framework.h"
 #include "packing/round_robin_packing.h"
 #include "scheduler/framework_scheduler.h"
 #include "workloads/word_count.h"
@@ -36,7 +35,7 @@ packing::PackingPlan Plan(int spouts, int bolts) {
 TEST(SlurmLikeTest, StatefulSchedulerRecoversFailedStep) {
   SimCluster cluster;
   cluster.AddNodes(8, Resource(32, 65536, 0));
-  SlurmLikeFramework slurm(&cluster);
+  SimFramework slurm(FrameworkKind::kSlurm, &cluster);
   EXPECT_TRUE(slurm.SupportsHeterogeneousContainers());
   EXPECT_FALSE(slurm.AutoRestartsFailedContainers());
 
@@ -55,7 +54,7 @@ TEST(SlurmLikeTest, StatefulSchedulerRecoversFailedStep) {
 TEST(SlurmLikeTest, AllocationsAreFixedAtSubmission) {
   SimCluster cluster;
   cluster.AddNodes(8, Resource(32, 65536, 0));
-  SlurmLikeFramework slurm(&cluster);
+  SimFramework slurm(FrameworkKind::kSlurm, &cluster);
   NoopLauncher launcher;
   scheduler::FrameworkScheduler sched(&slurm, &launcher);
   ASSERT_TRUE(sched.Initialize(Config()).ok());
@@ -76,7 +75,7 @@ TEST(SlurmLikeTest, AllocationsAreFixedAtSubmission) {
 TEST(MarathonLikeTest, StatelessSchedulerAndSelfHealing) {
   SimCluster cluster;
   cluster.AddNodes(8, Resource(32, 65536, 0));
-  MarathonLikeFramework marathon(&cluster);
+  SimFramework marathon(FrameworkKind::kMarathon, &cluster);
   EXPECT_FALSE(marathon.SupportsHeterogeneousContainers());
   EXPECT_TRUE(marathon.AutoRestartsFailedContainers());
 
@@ -97,7 +96,7 @@ TEST(MarathonLikeTest, StatelessSchedulerAndSelfHealing) {
 TEST(MarathonLikeTest, ScaleOutKeepsInstanceSize) {
   SimCluster cluster;
   cluster.AddNodes(8, Resource(32, 65536, 0));
-  MarathonLikeFramework marathon(&cluster);
+  SimFramework marathon(FrameworkKind::kMarathon, &cluster);
   NoopLauncher launcher;
   scheduler::FrameworkScheduler sched(&marathon, &launcher);
   ASSERT_TRUE(sched.Initialize(Config()).ok());

@@ -1,12 +1,11 @@
 // Scheduling-framework substrate tests: SimCluster admission accounting
-// and the YARN-like / Aurora-like capability contracts of §IV-B.
+// and the §IV-B capability contract of every SimFramework kind.
 
 #include "frameworks/framework.h"
 
 #include <gtest/gtest.h>
 
-#include "frameworks/aurora_like_framework.h"
-#include "frameworks/yarn_like_framework.h"
+#include "frameworks/sim_framework.h"
 
 namespace heron {
 namespace frameworks {
@@ -57,21 +56,47 @@ class CountingCommands {
   std::vector<int> stops;
 };
 
-class FrameworkContractTest : public ::testing::TestWithParam<std::string> {
+/// One row per framework kind: the behaviour the §IV-B contract expects.
+struct FrameworkRow {
+  FrameworkKind kind;
+  const char* name;
+  bool heterogeneous;  ///< Admits mixed container sizes.
+  bool auto_restart;   ///< Brings a failed container back by itself.
+  bool grows;          ///< AddContainers is allowed after submission.
+};
+
+void PrintTo(const FrameworkRow& row, std::ostream* os) { *os << row.name; }
+
+constexpr FrameworkRow kFrameworkRows[] = {
+    {FrameworkKind::kYarn, "yarn", true, false, true},
+    {FrameworkKind::kAurora, "aurora", false, true, true},
+    {FrameworkKind::kMarathon, "marathon", false, true, true},
+    {FrameworkKind::kSlurm, "slurm", true, false, false},
+};
+
+class FrameworkContractTest : public ::testing::TestWithParam<FrameworkRow> {
  protected:
   void SetUp() override {
     cluster_.AddNodes(8, Resource(16, 32768, 0));
-    if (GetParam() == "yarn") {
-      framework_ = std::make_unique<YarnLikeFramework>(&cluster_);
-    } else {
-      framework_ = std::make_unique<AuroraLikeFramework>(&cluster_);
-    }
+    framework_ = std::make_unique<SimFramework>(GetParam().kind, &cluster_);
   }
 
   SimCluster cluster_;
-  std::unique_ptr<BaseSimFramework> framework_;
+  std::unique_ptr<SimFramework> framework_;
   CountingCommands commands_;
 };
+
+TEST_P(FrameworkContractTest, NameUrlAndCapabilityBits) {
+  const FrameworkRow& row = GetParam();
+  EXPECT_EQ(framework_->Name(), row.name);
+  EXPECT_EQ(framework_->Url(), std::string("sim://") + row.name +
+                                   ".cluster.local");
+  EXPECT_EQ(framework_->SupportsHeterogeneousContainers(), row.heterogeneous);
+  EXPECT_EQ(framework_->AutoRestartsFailedContainers(), row.auto_restart);
+  auto parsed = ParseFrameworkKind(row.name);
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(*parsed, row.kind);
+}
 
 TEST_P(FrameworkContractTest, SubmitStartsEveryContainer) {
   auto job = framework_->SubmitJob(
@@ -84,6 +109,20 @@ TEST_P(FrameworkContractTest, SubmitStartsEveryContainer) {
     EXPECT_EQ(c.state, ContainerState::kRunning);
   }
   EXPECT_EQ(cluster_.num_allocations(), 2u);
+}
+
+TEST_P(FrameworkContractTest, HeterogeneousSubmitFollowsCapability) {
+  // "YARN can allocate heterogeneous containers whereas Aurora can only
+  // allocate homogeneous containers" (§IV-B).
+  const auto job = framework_->SubmitJob(
+      commands_.Spec("t", {Resource(1, 1024, 0), Resource(8, 8192, 0)}));
+  if (GetParam().heterogeneous) {
+    EXPECT_TRUE(job.ok()) << job.status().ToString();
+    return;
+  }
+  EXPECT_TRUE(job.status().IsInvalidArgument());
+  EXPECT_EQ(cluster_.num_allocations(), 0u);
+  EXPECT_TRUE(commands_.starts.empty());
 }
 
 TEST_P(FrameworkContractTest, KillStopsAndReleasesEverything) {
@@ -119,6 +158,38 @@ TEST_P(FrameworkContractTest, RestartCyclesTheContainer) {
   EXPECT_EQ((*status)[1].restarts, 1);
 }
 
+TEST_P(FrameworkContractTest, InjectedFailureFollowsRestartCapability) {
+  std::vector<FrameworkEvent> events;
+  framework_->SetEventCallback(
+      [&events](const FrameworkEvent& e) { events.push_back(e); });
+  auto job = framework_->SubmitJob(
+      commands_.Spec("t", {Resource(2, 2048, 0), Resource(2, 2048, 0)}));
+  ASSERT_TRUE(job.ok());
+
+  ASSERT_TRUE(framework_->InjectContainerFailure(*job, 1).ok());
+  // The client always hears about the failure.
+  ASSERT_FALSE(events.empty());
+  EXPECT_EQ(events.front().container.state, ContainerState::kFailed);
+  auto status = framework_->JobStatus(*job);
+  ASSERT_TRUE(status.ok());
+  if (GetParam().auto_restart) {
+    // "Aurora invokes the appropriate command to restart the container."
+    EXPECT_EQ((*status)[1].state, ContainerState::kRunning);
+    EXPECT_EQ((*status)[1].restarts, 1);
+    EXPECT_EQ(events.back().container.state, ContainerState::kRunning);
+    EXPECT_EQ(commands_.starts.size(), 3u);  // 2 initial + 1 restart.
+    EXPECT_EQ(cluster_.num_allocations(), 2u);
+    return;
+  }
+  // The failure stays down until the stateful client acts.
+  EXPECT_EQ((*status)[1].state, ContainerState::kFailed);
+  EXPECT_EQ(events.size(), 1u);
+  EXPECT_EQ(commands_.starts.size(), 2u);
+  EXPECT_EQ(cluster_.num_allocations(), 1u);
+  ASSERT_TRUE(framework_->RestartContainer(*job, 1).ok());
+  EXPECT_EQ((*framework_->JobStatus(*job))[1].state, ContainerState::kRunning);
+}
+
 TEST_P(FrameworkContractTest, RemoveContainerShrinks) {
   auto job = framework_->SubmitJob(
       commands_.Spec("t", {Resource(2, 2048, 0), Resource(2, 2048, 0)}));
@@ -141,97 +212,52 @@ TEST_P(FrameworkContractTest, AddContainersRegistersBeforeStart) {
         starts_at_registration = commands_.starts.size();
         EXPECT_EQ(indices, (std::vector<int>{1}));
       });
+  if (!GetParam().grows) {
+    // Slurm allocations are fixed at submission: nothing registers,
+    // allocates or starts.
+    EXPECT_TRUE(added.status().IsFailedPrecondition());
+    EXPECT_FALSE(registered_before_start);
+    EXPECT_EQ(commands_.starts, (std::vector<int>{0}));
+    EXPECT_EQ(cluster_.num_allocations(), 1u);
+    return;
+  }
   ASSERT_TRUE(added.ok());
   EXPECT_TRUE(registered_before_start);
   EXPECT_EQ(starts_at_registration, 1u);  // Only the original start.
   EXPECT_EQ(commands_.starts, (std::vector<int>{0, 1}));
 }
 
-INSTANTIATE_TEST_SUITE_P(Frameworks, FrameworkContractTest,
-                         ::testing::Values("yarn", "aurora"));
-
-// ---------------------------------------------------------------------
-// The §IV-B capability differences.
-// ---------------------------------------------------------------------
-
-TEST(YarnLikeTest, AcceptsHeterogeneousContainers) {
-  SimCluster cluster;
-  cluster.AddNodes(4, Resource(16, 32768, 0));
-  YarnLikeFramework yarn(&cluster);
-  EXPECT_TRUE(yarn.SupportsHeterogeneousContainers());
-  EXPECT_FALSE(yarn.AutoRestartsFailedContainers());
-  CountingCommands commands;
-  EXPECT_TRUE(yarn.SubmitJob(commands.Spec(
-                     "t", {Resource(1, 1024, 0), Resource(8, 8192, 0)}))
-                  .ok());
+TEST_P(FrameworkContractTest, GrowthKeepsInstanceSizeWhenHomogeneous) {
+  auto job = framework_->SubmitJob(
+      commands_.Spec("t", {Resource(2, 2048, 0), Resource(2, 2048, 0)}));
+  ASSERT_TRUE(job.ok());
+  const Status bigger =
+      framework_->AddContainers(*job, {Resource(4, 4096, 0)}).status();
+  if (!GetParam().grows) {
+    EXPECT_TRUE(bigger.IsFailedPrecondition());
+  } else if (GetParam().heterogeneous) {
+    EXPECT_TRUE(bigger.ok()) << bigger.ToString();
+  } else {
+    EXPECT_TRUE(bigger.IsInvalidArgument());
+  }
+  // Growing by the job's own container size is refused only by Slurm.
+  EXPECT_EQ(framework_->AddContainers(*job, {Resource(2, 2048, 0)}).ok(),
+            GetParam().grows);
 }
 
-TEST(AuroraLikeTest, RejectsHeterogeneousContainers) {
-  SimCluster cluster;
-  cluster.AddNodes(4, Resource(16, 32768, 0));
-  AuroraLikeFramework aurora(&cluster);
-  EXPECT_FALSE(aurora.SupportsHeterogeneousContainers());
-  EXPECT_TRUE(aurora.AutoRestartsFailedContainers());
-  CountingCommands commands;
-  EXPECT_TRUE(aurora
-                  .SubmitJob(commands.Spec(
-                      "t", {Resource(1, 1024, 0), Resource(8, 8192, 0)}))
-                  .status()
-                  .IsInvalidArgument());
-  // Homogeneous is fine; growing with a different size is not.
-  auto job = aurora.SubmitJob(
-      commands.Spec("t", {Resource(2, 2048, 0), Resource(2, 2048, 0)}));
-  ASSERT_TRUE(job.ok());
-  EXPECT_TRUE(aurora.AddContainers(*job, {Resource(4, 4096, 0)})
-                  .status()
-                  .IsInvalidArgument());
-  EXPECT_TRUE(aurora.AddContainers(*job, {Resource(2, 2048, 0)}).ok());
-}
+INSTANTIATE_TEST_SUITE_P(
+    Frameworks, FrameworkContractTest, ::testing::ValuesIn(kFrameworkRows),
+    [](const ::testing::TestParamInfo<FrameworkRow>& info) {
+      return std::string(info.param.name);
+    });
 
-TEST(AuroraLikeTest, AutoRestartsFailedContainer) {
-  SimCluster cluster;
-  cluster.AddNodes(2, Resource(16, 32768, 0));
-  AuroraLikeFramework aurora(&cluster);
-  CountingCommands commands;
-  std::vector<FrameworkEvent> events;
-  aurora.SetEventCallback(
-      [&events](const FrameworkEvent& e) { events.push_back(e); });
-  auto job = aurora.SubmitJob(
-      commands.Spec("t", {Resource(2, 2048, 0), Resource(2, 2048, 0)}));
-  ASSERT_TRUE(job.ok());
-
-  ASSERT_TRUE(aurora.InjectContainerFailure(*job, 0).ok());
-  // "Aurora invokes the appropriate command to restart the container."
-  auto status = aurora.JobStatus(*job);
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ((*status)[0].state, ContainerState::kRunning);
-  EXPECT_EQ((*status)[0].restarts, 1);
-  EXPECT_EQ(commands.starts.size(), 3u);  // 2 initial + 1 restart.
-  EXPECT_EQ(cluster.num_allocations(), 2u);
-}
-
-TEST(YarnLikeTest, FailureStaysDownUntilClientActs) {
-  SimCluster cluster;
-  cluster.AddNodes(2, Resource(16, 32768, 0));
-  YarnLikeFramework yarn(&cluster);
-  CountingCommands commands;
-  std::vector<FrameworkEvent> events;
-  yarn.SetEventCallback(
-      [&events](const FrameworkEvent& e) { events.push_back(e); });
-  auto job = yarn.SubmitJob(
-      commands.Spec("t", {Resource(2, 2048, 0), Resource(2, 2048, 0)}));
-  ASSERT_TRUE(job.ok());
-
-  ASSERT_TRUE(yarn.InjectContainerFailure(*job, 1).ok());
-  auto status = yarn.JobStatus(*job);
-  ASSERT_TRUE(status.ok());
-  EXPECT_EQ((*status)[1].state, ContainerState::kFailed);
-  // The client was told.
-  ASSERT_FALSE(events.empty());
-  EXPECT_EQ(events.back().container.state, ContainerState::kFailed);
-  // The stateful client recovers it explicitly.
-  ASSERT_TRUE(yarn.RestartContainer(*job, 1).ok());
-  EXPECT_EQ((*yarn.JobStatus(*job))[1].state, ContainerState::kRunning);
+TEST(ParseFrameworkKindTest, RejectsUnknownKinds) {
+  // "local" is a scheduler kind, not a framework: LocalCluster handles it
+  // before parsing.
+  for (const char* name : {"mesos", "local", "", "YARN"}) {
+    EXPECT_TRUE(ParseFrameworkKind(name).status().IsInvalidArgument())
+        << name;
+  }
 }
 
 }  // namespace

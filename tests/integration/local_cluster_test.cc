@@ -151,6 +151,24 @@ TEST_F(LocalClusterTest, KillStopsEverything) {
   EXPECT_TRUE(cluster.Kill().ok());
 }
 
+TEST_F(LocalClusterTest, SubmitRejectsUnknownSchedulerAndExecutionModes) {
+  const std::pair<const char*, const char*> bad_settings[] = {
+      {config_keys::kSchedulerKind, "mesos"},
+      {config_keys::kExecutionMode, "fibers"},
+  };
+  for (const auto& [key, value] : bad_settings) {
+    Config config = BaseConfig();
+    config.Set(key, value);
+    LocalCluster cluster(config);
+    auto topology = workloads::BuildWordCountTopology("wc-reject", 1, 1);
+    ASSERT_TRUE(topology.ok());
+    EXPECT_TRUE(cluster.Submit(*topology).IsInvalidArgument())
+        << key << "=" << value;
+    EXPECT_FALSE(cluster.running());
+    EXPECT_EQ(cluster.num_live_containers(), 0);
+  }
+}
+
 }  // namespace
 }  // namespace runtime
 }  // namespace heron

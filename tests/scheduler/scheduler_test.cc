@@ -8,8 +8,7 @@
 
 #include <map>
 
-#include "frameworks/aurora_like_framework.h"
-#include "frameworks/yarn_like_framework.h"
+#include "frameworks/sim_framework.h"
 #include "packing/round_robin_packing.h"
 #include "scheduler/framework_scheduler.h"
 #include "scheduler/local_scheduler.h"
@@ -65,19 +64,15 @@ class FrameworkSchedulerTest : public ::testing::TestWithParam<std::string> {
  protected:
   void SetUp() override {
     cluster_.AddNodes(16, Resource(32, 65536, 0));
-    if (GetParam() == "yarn") {
-      framework_ = std::make_unique<frameworks::YarnLikeFramework>(&cluster_);
-    } else {
-      framework_ =
-          std::make_unique<frameworks::AuroraLikeFramework>(&cluster_);
-    }
+    framework_ = std::make_unique<frameworks::SimFramework>(
+        *frameworks::ParseFrameworkKind(GetParam()), &cluster_);
     scheduler_ = std::make_unique<FrameworkScheduler>(framework_.get(),
                                                       &launcher_);
     ASSERT_TRUE(scheduler_->Initialize(Config()).ok());
   }
 
   frameworks::SimCluster cluster_;
-  std::unique_ptr<frameworks::BaseSimFramework> framework_;
+  std::unique_ptr<frameworks::SimFramework> framework_;
   RecordingLauncher launcher_;
   std::unique_ptr<FrameworkScheduler> scheduler_;
 };
@@ -159,7 +154,8 @@ TEST(FrameworkSchedulerSizingTest, HomogeneousFrameworkGetsUniformMax) {
   // must be sized to the plan's max requirement, and admission succeeds.
   frameworks::SimCluster cluster;
   cluster.AddNodes(8, Resource(32, 65536, 0));
-  frameworks::AuroraLikeFramework aurora(&cluster);
+  frameworks::SimFramework aurora(frameworks::FrameworkKind::kAurora,
+                                 &cluster);
   RecordingLauncher launcher;
   FrameworkScheduler scheduler(&aurora, &launcher);
   ASSERT_TRUE(scheduler.Initialize(Config()).ok());
@@ -186,7 +182,7 @@ TEST(FrameworkSchedulerFailoverTest, StatefulSchedulerRecoversContainers) {
   // Scheduler invokes the appropriate commands to restart the container."
   frameworks::SimCluster cluster;
   cluster.AddNodes(8, Resource(32, 65536, 0));
-  frameworks::YarnLikeFramework yarn(&cluster);
+  frameworks::SimFramework yarn(frameworks::FrameworkKind::kYarn, &cluster);
   RecordingLauncher launcher;
   FrameworkScheduler scheduler(&yarn, &launcher);
   ASSERT_TRUE(scheduler.Initialize(Config()).ok());
