@@ -1,5 +1,7 @@
 #include "instance/instance.h"
 
+#include <map>
+
 #include "common/logging.h"
 #include "common/strings.h"
 #include "serde/wire.h"
@@ -16,7 +18,10 @@ class HeronInstance::SpoutCollector final : public api::ISpoutOutputCollector {
   void Emit(const StreamId& stream, api::Values values,
             std::optional<int64_t> message_id) override {
     HeronInstance* in = owner_;
-    proto::TupleDataMsg msg;
+    // Reused across emits: Clear keeps the roots vector's capacity, so a
+    // tracked emit allocates no roots vector.
+    proto::TupleDataMsg& msg = msg_;
+    msg.Clear();
     msg.emit_time_nanos = in->clock_->NowNanos();
     // Deterministic 1-in-N sampling on the spout emission sequence: the
     // same topology under the same clock traces the same tuples. The
@@ -32,7 +37,8 @@ class HeronInstance::SpoutCollector final : public api::ISpoutOutputCollector {
           in->options_.task, in->rng_.NextUint64());
       msg.tuple_key = root;
       msg.roots.push_back(root);
-      in->pending_roots_[root] = {*message_id, msg.emit_time_nanos, traced};
+      *in->pending_roots_.TryEmplace(root).first = {
+          *message_id, msg.emit_time_nanos, traced};
       in->pending_count_.fetch_add(1, std::memory_order_relaxed);
     } else {
       msg.tuple_key = in->rng_.NextUint64();
@@ -52,6 +58,7 @@ class HeronInstance::SpoutCollector final : public api::ISpoutOutputCollector {
 
  private:
   HeronInstance* owner_;
+  proto::TupleDataMsg msg_;
 };
 
 /// Bolt-side emission and acking: accumulates the XOR contribution of the
@@ -304,34 +311,37 @@ void HeronInstance::Kill() {
 }
 
 void HeronInstance::HandleRootEvent(const serde::Buffer& payload) {
-  proto::RootEventMsg msg;
-  if (!msg.ParseFromBytes(payload).ok()) return;
-  const auto it = pending_roots_.find(msg.root);
-  if (it == pending_roots_.end()) {
-    // Stale: double timeout, or an ack from a pre-restore epoch reaching
-    // the restarted incarnation (whose pending set was rebuilt fresh).
-    stale_root_events_->Increment();
-    return;
-  }
-  const PendingRoot pending = it->second;
-  pending_roots_.erase(it);
-  pending_count_.fetch_sub(1, std::memory_order_relaxed);
+  // One envelope carries every tree this spout's SMGR closed in one ack
+  // batch or timeout pass; a malformed one is dropped whole.
+  if (!root_events_scratch_.ParseFromBytes(payload).ok()) return;
   const int64_t now = clock_->NowNanos();
-  if (pending.traced && options_.span_collector != nullptr) {
-    // Tree finished (either way): closes the traced tuple's timeline, so
-    // the stage deltas telescope to exactly the complete latency.
-    options_.span_collector->Record(
-        msg.root, observability::TraceStage::kAckComplete, options_.task,
-        now);
-  }
-  if (msg.fail) {
-    failed_->Increment();
-    spout_->Fail(pending.message_id);
-  } else {
-    acked_->Increment();
-    complete_latency_->Record(static_cast<uint64_t>(
-        std::max<int64_t>(now - pending.emit_time_nanos, 0)));
-    spout_->Ack(pending.message_id);
+  for (const proto::RootEvent& event : root_events_scratch_.events) {
+    const PendingRoot* found = pending_roots_.Find(event.root);
+    if (found == nullptr) {
+      // Stale: double timeout, or an ack from a pre-restore epoch reaching
+      // the restarted incarnation (whose pending set was rebuilt fresh).
+      stale_root_events_->Increment();
+      continue;
+    }
+    const PendingRoot pending = *found;
+    pending_roots_.Erase(event.root);
+    pending_count_.fetch_sub(1, std::memory_order_relaxed);
+    if (pending.traced && options_.span_collector != nullptr) {
+      // Tree finished (either way): closes the traced tuple's timeline, so
+      // the stage deltas telescope to exactly the complete latency.
+      options_.span_collector->Record(
+          event.root, observability::TraceStage::kAckComplete,
+          options_.task, now);
+    }
+    if (event.fail) {
+      failed_->Increment();
+      spout_->Fail(pending.message_id);
+    } else {
+      acked_->Increment();
+      complete_latency_->Record(static_cast<uint64_t>(
+          std::max<int64_t>(now - pending.emit_time_nanos, 0)));
+      spout_->Ack(pending.message_id);
+    }
   }
 }
 

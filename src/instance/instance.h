@@ -2,7 +2,6 @@
 #define HERON_INSTANCE_INSTANCE_H_
 
 #include <atomic>
-#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -12,6 +11,7 @@
 #include "api/spout.h"
 #include "instance/outbox.h"
 #include "common/clock.h"
+#include "common/flat_u64_map.h"
 #include "common/random.h"
 #include "metrics/metrics.h"
 #include "observability/trace.h"
@@ -179,8 +179,10 @@ class HeronInstance {
     /// Sampled tracing: record kAckComplete when this root's tree ends.
     bool traced = false;
   };
-  std::map<api::TupleKey, PendingRoot> pending_roots_;
+  FlatU64Map<PendingRoot> pending_roots_;
   std::atomic<int64_t> pending_count_{0};
+  /// Decode scratch for kRootEvent envelopes (keeps its capacity).
+  proto::RootEventMsg root_events_scratch_;
   /// Spout emission sequence for deterministic 1-in-N trace sampling.
   uint64_t emit_seq_ = 0;
 

@@ -26,8 +26,8 @@ constexpr uint32_t kAuRoot = 1;
 constexpr uint32_t kAuXor = 2;
 constexpr uint32_t kAuFail = 3;
 // RootEventMsg fields.
-constexpr uint32_t kReRoot = 1;
-constexpr uint32_t kReFail = 2;
+constexpr uint32_t kReAcked = 1;
+constexpr uint32_t kReFailed = 2;
 // BackpressureMsg fields.
 constexpr uint32_t kBpInitiator = 1;
 constexpr uint32_t kBpRetryDepth = 2;
@@ -273,35 +273,30 @@ void AckBatchMsg::Clear() {
   updates.clear();
 }
 
+void AppendRootEvent(serde::WireEncoder* enc, const RootEvent& event) {
+  enc->WriteUint64Field(event.fail ? kReFailed : kReAcked, event.root);
+}
+
 void RootEventMsg::SerializeTo(serde::WireEncoder* enc) const {
-  enc->WriteUint64Field(kReRoot, root);
-  enc->WriteBoolField(kReFail, fail);
+  for (const RootEvent& event : events) AppendRootEvent(enc, event);
 }
 
 Status RootEventMsg::ParseFrom(serde::WireDecoder* dec) {
   while (!dec->AtEnd()) {
     HERON_ASSIGN_OR_RETURN(uint32_t tag, dec->ReadTag());
     if (tag == 0) break;
-    switch (serde::TagFieldNumber(tag)) {
-      case kReRoot: {
-        HERON_ASSIGN_OR_RETURN(root, dec->ReadUint64());
-        break;
-      }
-      case kReFail: {
-        HERON_ASSIGN_OR_RETURN(fail, dec->ReadBool());
-        break;
-      }
-      default:
-        HERON_RETURN_NOT_OK(dec->SkipField(serde::TagWireType(tag)));
+    const uint32_t field = serde::TagFieldNumber(tag);
+    if (field == kReAcked || field == kReFailed) {
+      HERON_ASSIGN_OR_RETURN(api::TupleKey root, dec->ReadUint64());
+      events.push_back({root, field == kReFailed});
+    } else {
+      HERON_RETURN_NOT_OK(dec->SkipField(serde::TagWireType(tag)));
     }
   }
   return Status::OK();
 }
 
-void RootEventMsg::Clear() {
-  root = 0;
-  fail = false;
-}
+void RootEventMsg::Clear() { events.clear(); }
 
 void BackpressureMsg::SerializeTo(serde::WireEncoder* enc) const {
   enc->WriteInt32Field(kBpInitiator, initiator);

@@ -153,20 +153,37 @@ class AckBatchMsg final : public serde::Message {
   void Clear() override;
 };
 
-/// \brief SMGR → spout instance notification that a tuple tree finished.
-///
-/// Field layout: 1 root varint (uint64), 2 fail bool. The spout executor
-/// maps the root back to the user message id and the emit timestamp it
-/// recorded at emission time.
-class RootEventMsg final : public serde::Message {
- public:
+/// \brief One finished tuple tree: its root and whether it failed.
+struct RootEvent {
   api::TupleKey root = 0;
   bool fail = false;
+
+  bool operator==(const RootEvent& o) const {
+    return root == o.root && fail == o.fail;
+  }
+};
+
+/// \brief SMGR → spout instance notification that tuple trees finished:
+/// every completion one ack batch (or one timeout pass) produced for this
+/// spout task, in completion order.
+///
+/// Field layout, repeated once per event: 1 acked root varint (uint64) or
+/// 2 failed root varint. The field number carries the outcome, so an
+/// event costs one tag byte plus the root. The spout executor maps each
+/// root back to the user message id and the emit timestamp it recorded
+/// at emission time.
+class RootEventMsg final : public serde::Message {
+ public:
+  std::vector<RootEvent> events;
 
   void SerializeTo(serde::WireEncoder* enc) const override;
   Status ParseFrom(serde::WireDecoder* dec) override;
   void Clear() override;
 };
+
+/// Appends one event in RootEventMsg wire form, so a Stream Manager can
+/// grow a per-spout payload event by event without a message object.
+void AppendRootEvent(serde::WireEncoder* enc, const RootEvent& event);
 
 /// \brief Control envelope of the cluster-wide spout back-pressure
 /// protocol (§II / Heron's "spout back pressure"): when a Stream

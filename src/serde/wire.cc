@@ -134,7 +134,9 @@ Result<double> WireDecoder::ReadDouble() {
 
 Result<BytesView> WireDecoder::ReadBytes() {
   HERON_ASSIGN_OR_RETURN(uint64_t len, ReadVarint());
-  if (pos_ + len > data_.size()) return Truncated();
+  // Compare against the bytes left: `pos_ + len` wraps for a length near
+  // 2^64 and would move the read position backwards.
+  if (len > data_.size() - pos_) return Truncated();
   BytesView view = data_.substr(pos_, len);
   pos_ += len;
   return view;

@@ -2,11 +2,11 @@
 #define HERON_SMGR_ACK_TRACKER_H_
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <vector>
 
 #include "api/tuple.h"
+#include "common/flat_u64_map.h"
 
 namespace heron {
 namespace smgr {
@@ -21,6 +21,16 @@ namespace smgr {
 /// zero exactly when every tuple in the tree has been acked, regardless
 /// of order or interleaving. A `fail` update or a timeout completes the
 /// root immediately with fail=true.
+///
+/// Roots live in a FlatU64Map and their deadlines in a FIFO queue in
+/// registration order, so a tree costs O(1) work and no allocation once
+/// the table and queue reach their working size. The queue is
+/// deadline-ordered because deadlines are monotone in registration order
+/// under the engine's monotone clocks; a clock reading that goes
+/// backwards is clamped up to the queue's back, so no root ever expires
+/// before its own deadline. A completed root leaves a stale record in
+/// the queue; whenever the queue holds more than 2 × pending() records,
+/// one pass drops every stale record, at amortized O(1) per completion.
 ///
 /// Single-threaded by design: owned and driven by one Stream Manager loop.
 class AckTracker {
@@ -44,7 +54,7 @@ class AckTracker {
   std::optional<Completion> Update(api::TupleKey root, api::TupleKey xor_value,
                                    bool fail);
 
-  /// Fails every root whose deadline passed.
+  /// Fails every root whose deadline passed, oldest deadline first.
   std::vector<Completion> ExpireTimeouts(int64_t now_nanos);
 
   /// Earliest pending deadline, or INT64_MAX when nothing is tracked.
@@ -52,19 +62,34 @@ class AckTracker {
   int64_t NextDeadlineNanos();
 
   size_t pending() const { return entries_.size(); }
+  /// Deadline records held, live and stale (the compaction bound's
+  /// subject).
+  size_t deadline_records() const { return deadlines_.size() - head_; }
 
  private:
   struct Entry {
     api::TupleKey xor_state = 0;
     int64_t deadline_nanos = 0;
   };
+  struct DeadlineRecord {
+    int64_t deadline_nanos = 0;
+    api::TupleKey root = 0;
+  };
+
+  /// True while `record` still belongs to a tracked root.
+  bool IsLive(const DeadlineRecord& record) const;
+  /// Consumes the queue's front record.
+  void PopDeadline();
+  /// Drops every stale record once they outnumber the live roots.
+  void MaybeCompact();
 
   int64_t timeout_nanos_;
-  std::map<api::TupleKey, Entry> entries_;
-  // Deadlines are monotone in registration order, so expiry scans the map
-  // insertion side; with random 48-bit suffixes the key order is not
-  // registration order, so a deadline index keeps expiry O(expired).
-  std::multimap<int64_t, api::TupleKey> by_deadline_;
+  FlatU64Map<Entry> entries_;
+  /// The FIFO: records [head_, size()) in registration order, deadlines
+  /// non-decreasing. The consumed prefix is reclaimed once it is half the
+  /// vector, so pops stay amortized O(1) without a ring buffer.
+  std::vector<DeadlineRecord> deadlines_;
+  size_t head_ = 0;
 };
 
 }  // namespace smgr

@@ -272,10 +272,11 @@ void StreamManager::ProcessEnvelope(proto::Envelope env) {
 void StreamManager::MaybeRegisterRoots(TaskId src_task,
                                        serde::BytesView tuple_bytes) {
   api::TupleKey key = 0;
-  std::vector<api::TupleKey> roots;
-  if (!proto::PeekTupleKeyAndRoots(tuple_bytes, &key, &roots).ok()) return;
+  if (!proto::PeekTupleKeyAndRoots(tuple_bytes, &key, &roots_scratch_).ok()) {
+    return;
+  }
   const int64_t now = clock_->NowNanos();
-  for (const api::TupleKey root : roots) {
+  for (const api::TupleKey root : roots_scratch_) {
     tracker_.Register(root, key, now);
   }
 }
@@ -505,20 +506,20 @@ void StreamManager::HandleAckBatch(proto::Envelope env) {
     SendToContainer(*container, std::move(env));
     return;
   }
-  proto::AckBatchMsg batch;
-  if (!batch.ParseFromBytes(env.payload).ok()) {
+  if (!ack_scratch_.ParseFromBytes(env.payload).ok()) {
     HLOG(ERROR) << "dropping malformed ack batch";
     return;
   }
   transport_->buffer_pool()->Release(std::move(env.payload));
-  for (const proto::AckUpdate& update : batch.updates) {
+  for (const proto::AckUpdate& update : ack_scratch_.updates) {
     acks_applied_->Increment();
     auto completion = tracker_.Update(update.root, update.xor_value,
                                       update.fail);
     if (completion.has_value()) {
-      EmitRootEvent(*completion);
+      AddRootEvent(*completion);
     }
   }
+  FlushRootEvents();
 }
 
 void StreamManager::HandleBarrier(proto::Envelope env) {
@@ -580,21 +581,31 @@ void StreamManager::HandleBarrier(proto::Envelope env) {
   }
 }
 
-void StreamManager::EmitRootEvent(const AckTracker::Completion& completion) {
+void StreamManager::AddRootEvent(const AckTracker::Completion& completion) {
   if (completion.fail) {
     roots_failed_->Increment();
   } else {
     roots_completed_->Increment();
   }
-  proto::RootEventMsg msg;
-  msg.root = completion.root;
-  msg.fail = completion.fail;
-  serde::Buffer payload = transport_->buffer_pool()->Acquire();
-  serde::WireEncoder enc(&payload);
-  msg.SerializeTo(&enc);
-  SendToInstance(proto::RootKeyTask(completion.root),
-                 proto::Envelope(proto::MessageType::kRootEvent,
-                                 std::move(payload)));
+  const TaskId task = proto::RootKeyTask(completion.root);
+  auto it = std::find_if(
+      root_events_.begin(), root_events_.end(),
+      [task](const PendingRootEvents& p) { return p.task == task; });
+  if (it == root_events_.end()) {
+    root_events_.push_back({task, transport_->buffer_pool()->Acquire()});
+    it = root_events_.end() - 1;
+  }
+  serde::WireEncoder enc(&it->payload);
+  proto::AppendRootEvent(&enc, {completion.root, completion.fail});
+}
+
+void StreamManager::FlushRootEvents() {
+  for (PendingRootEvents& pending : root_events_) {
+    SendToInstance(pending.task,
+                   proto::Envelope(proto::MessageType::kRootEvent,
+                                   std::move(pending.payload)));
+  }
+  root_events_.clear();
 }
 
 void StreamManager::DrainCacheNow(bool timer_drain) {
@@ -628,8 +639,9 @@ void StreamManager::DrainCacheNow(bool timer_drain) {
 void StreamManager::ExpireAcksNow() {
   for (const auto& completion : tracker_.ExpireTimeouts(clock_->NowNanos())) {
     roots_timeout_->Increment();
-    EmitRootEvent(completion);
+    AddRootEvent(completion);
   }
+  FlushRootEvents();
 }
 
 void StreamManager::SendToInstance(TaskId task, proto::Envelope env) {

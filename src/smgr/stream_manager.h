@@ -31,7 +31,8 @@ namespace smgr {
 /// resolves every subscriber's grouping, batches per destination in the
 /// TupleCache, and ships batches — still serialized — to local instances
 /// or peer Stream Managers. Also owns ack tracking for the roots of the
-/// spouts it hosts.
+/// spouts it hosts, and hands each spout its finished trees in one
+/// kRootEvent envelope per ack batch (DESIGN.md, "Ack path").
 ///
 /// The §V-A optimizations are a single toggle (`optimizations`):
 ///  - ON: routing works on serialized views (ParseTupleBatchView /
@@ -212,7 +213,11 @@ class StreamManager {
   void SendToInstance(TaskId task, proto::Envelope env);
   void SendToContainer(ContainerId container, proto::Envelope env);
   void TrySendOrPark(const Transport::Endpoint& dest, proto::Envelope env);
-  void EmitRootEvent(const AckTracker::Completion& completion);
+  /// Counts a completion and appends it to its spout task's pending
+  /// root-event payload.
+  void AddRootEvent(const AckTracker::Completion& completion);
+  /// Ships one kRootEvent envelope per spout task that gained events.
+  void FlushRootEvents();
 
   // -- Cluster-wide backpressure protocol (loop thread only). --
 
@@ -316,6 +321,19 @@ class StreamManager {
   // Scratch reused across envelopes (object-reuse discipline, §V-A).
   std::vector<TaskId> route_scratch_;
   proto::TupleBatchView view_scratch_;
+  std::vector<api::TupleKey> roots_scratch_;
+  proto::AckBatchMsg ack_scratch_;
+
+  /// Root events batched per spout task: the completions of one
+  /// HandleAckBatch call or one ExpireAcksNow pass, each task's in
+  /// completion order, shipped as one envelope per task when the call
+  /// ends. A container hosts few spout tasks, so a linear scan finds the
+  /// task's payload.
+  struct PendingRootEvents {
+    TaskId task = -1;
+    serde::Buffer payload;  ///< RootEventMsg wire form.
+  };
+  std::vector<PendingRootEvents> root_events_;
 };
 
 /// Plan-swap hygiene: broadcasts kStopBackpressure *on behalf of* a

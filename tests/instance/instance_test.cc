@@ -106,8 +106,8 @@ TEST_F(InstanceTest, AckedSpoutStopsAtMaxPendingAndResumesOnRootEvents) {
   ASSERT_EQ(roots.size(), 100u);
   for (size_t i = 0; i < 50; ++i) {
     proto::RootEventMsg event;
-    event.root = roots[i];
-    event.fail = (i % 10 == 9);  // A few failures among the acks.
+    // One event per envelope; a few failures among the acks.
+    event.events.push_back({roots[i], i % 10 == 9});
     ASSERT_TRUE(spout.inbound()
                     ->TrySend(proto::Envelope(
                         proto::MessageType::kRootEvent,
@@ -124,6 +124,70 @@ TEST_F(InstanceTest, AckedSpoutStopsAtMaxPendingAndResumesOnRootEvents) {
   EXPECT_GT(
       spout.metrics()->GetHistogram("instance.complete.latency.ns")->count(),
       0u);
+}
+
+TEST_F(InstanceTest, OneRootEventEnvelopeAppliesEveryEvent) {
+  // A finite spout (100 tracked words, no replays), single-stepped, so
+  // pending_count() moves only by the events the envelope applies.
+  workloads::WordSpout::Options spout_options;
+  spout_options.dictionary_size = 50;
+  spout_options.emit_limit = 100;
+  auto topology = workloads::BuildWordCountTopology("inst-batch", 1, 1,
+                                                    spout_options);
+  ASSERT_TRUE(topology.ok());
+  packing::RoundRobinPacking packer;
+  Config config;
+  config.SetInt(config_keys::kNumContainersHint, 1);
+  ASSERT_TRUE(packer.Initialize(config, *topology).ok());
+  auto plan = packer.Pack();
+  ASSERT_TRUE(plan.ok());
+
+  HeronInstance::Options options;
+  options.task = 0;
+  options.acking = true;
+  options.config.SetBool(config_keys::kAckingEnabled, true);
+  HeronInstance spout(options, *proto::PhysicalPlan::Build(*topology, *plan),
+                      transport_.get(), RealClock::Get(), nullptr);
+  ASSERT_TRUE(spout.StartStepMode().ok());
+  for (int i = 0; i < 1000 && spout.pending_count() < 100; ++i) {
+    spout.loop()->RunOnce();
+  }
+  ASSERT_EQ(spout.pending_count(), 100);
+
+  std::vector<api::TupleKey> roots;
+  while (auto env = smgr_inbound_->TryRecv()) {
+    proto::TupleBatchMsg batch;
+    ASSERT_TRUE(batch.ParseFromBytes(env->payload).ok());
+    for (const auto& bytes : batch.tuples) {
+      proto::TupleDataMsg msg;
+      ASSERT_TRUE(msg.ParseFromBytes(bytes).ok());
+      roots.insert(roots.end(), msg.roots.begin(), msg.roots.end());
+    }
+  }
+  ASSERT_EQ(roots.size(), 100u);
+
+  // 30 acks and 10 fails interleaved, plus two stale events: a root this
+  // spout never emitted, and a repeat of one the envelope already closed.
+  proto::RootEventMsg events;
+  for (size_t i = 0; i < 40; ++i) {
+    events.events.push_back({roots[i], i % 4 == 3});
+    if (i == 20) events.events.push_back({proto::MakeRootKey(0, 0xBAD), false});
+  }
+  events.events.push_back({roots[0], false});
+  ASSERT_TRUE(spout.inbound()
+                  ->TrySend(proto::Envelope(proto::MessageType::kRootEvent,
+                                            events.SerializeAsBuffer()))
+                  .ok());
+  spout.loop()->RunOnce();
+
+  auto* metrics = spout.metrics();
+  EXPECT_EQ(metrics->GetCounter("instance.acked")->value(), 30u);
+  EXPECT_EQ(metrics->GetCounter("instance.failed")->value(), 10u);
+  EXPECT_EQ(metrics->GetCounter("instance.rootevent.stale")->value(), 2u);
+  EXPECT_EQ(metrics->GetHistogram("instance.complete.latency.ns")->count(),
+            30u);
+  EXPECT_EQ(spout.pending_count(), 60);
+  spout.Stop();
 }
 
 TEST_F(InstanceTest, BoltExecutesRoutedBatchesAndAcksUpstream) {

@@ -190,12 +190,143 @@ TEST(MessagesTest, AckBatchRoundTrip) {
 
 TEST(MessagesTest, RootEventRoundTrip) {
   RootEventMsg msg;
-  msg.root = MakeRootKey(9, 0x1234);
-  msg.fail = true;
+  msg.events.push_back({MakeRootKey(9, 0x1234), true});
   RootEventMsg parsed;
   ASSERT_TRUE(parsed.ParseFromBytes(msg.SerializeAsBuffer()).ok());
-  EXPECT_EQ(parsed.root, msg.root);
-  EXPECT_TRUE(parsed.fail);
+  ASSERT_EQ(parsed.events.size(), 1u);
+  EXPECT_EQ(parsed.events[0].root, MakeRootKey(9, 0x1234));
+  EXPECT_TRUE(parsed.events[0].fail);
+}
+
+TEST(MessagesTest, BatchedRootEventsKeepOrderAndOutcome) {
+  // Acks and fails interleave in completion order; root 0 and the widest
+  // task id survive the varint encoding.
+  RootEventMsg msg;
+  msg.events = {{MakeRootKey(9, 1), false},
+                {MakeRootKey(9, 2), true},
+                {0, false},
+                {MakeRootKey(65535, 0xFFFFFFFFFFFFULL), true},
+                {MakeRootKey(9, 1), false}};
+  RootEventMsg parsed;
+  ASSERT_TRUE(parsed.ParseFromBytes(msg.SerializeAsBuffer()).ok());
+  EXPECT_EQ(parsed.events, msg.events);
+
+  // AppendRootEvent is the same encoding, one event at a time.
+  serde::Buffer appended;
+  serde::WireEncoder enc(&appended);
+  for (const RootEvent& event : msg.events) AppendRootEvent(&enc, event);
+  EXPECT_EQ(appended, msg.SerializeAsBuffer());
+
+  // Parsing overwrites: a reused message does not keep stale events.
+  ASSERT_TRUE(parsed.ParseFromBytes(RootEventMsg().SerializeAsBuffer()).ok());
+  EXPECT_TRUE(parsed.events.empty());
+}
+
+// -- Ack-path decoder fuzzing --------------------------------------------
+//
+// Seeded mutations of valid AckBatchMsg / RootEventMsg encodings:
+// truncations, bit flips and spliced overlong varints. Every input must
+// decode or fail cleanly; a decode that succeeds must survive its own
+// round trip. The ASan and UBSan lanes run these loops too.
+
+serde::Buffer AckBatchSeed(Random* rng) {
+  AckBatchMsg batch;
+  batch.dest_task = static_cast<TaskId>(rng->NextBelow(1 << 16));
+  const size_t n = 1 + rng->NextBelow(8);
+  for (size_t i = 0; i < n; ++i) {
+    batch.updates.push_back({MakeRootKey(batch.dest_task, rng->NextUint64()),
+                             rng->NextUint64(), rng->NextBool(0.2)});
+  }
+  return batch.SerializeAsBuffer();
+}
+
+serde::Buffer RootEventSeed(Random* rng) {
+  RootEventMsg msg;
+  const size_t n = 1 + rng->NextBelow(16);
+  for (size_t i = 0; i < n; ++i) {
+    msg.events.push_back({MakeRootKey(static_cast<TaskId>(rng->NextBelow(64)),
+                                      rng->NextUint64()),
+                          rng->NextBool(0.2)});
+  }
+  return msg.SerializeAsBuffer();
+}
+
+serde::Buffer Mutate(serde::Buffer bytes, Random* rng) {
+  switch (rng->NextBelow(3)) {
+    case 0:  // Truncation.
+      bytes.resize(rng->NextBelow(bytes.size() + 1));
+      break;
+    case 1: {  // Bit flips.
+      const size_t flips = 1 + rng->NextBelow(4);
+      for (size_t i = 0; i < flips && !bytes.empty(); ++i) {
+        bytes[rng->NextBelow(bytes.size())] ^=
+            static_cast<char>(1u << rng->NextBelow(8));
+      }
+      break;
+    }
+    default: {  // Overlong varint: continuation bytes past the 10-byte cap,
+                // or a non-canonical encoding, spliced in anywhere.
+      serde::Buffer varint(1 + rng->NextBelow(14),
+                           rng->NextBool() ? '\xFF' : '\x80');
+      if (rng->NextBool(0.7)) varint.push_back(rng->NextBool() ? 1 : 0);
+      bytes.insert(rng->NextBelow(bytes.size() + 1), varint);
+      break;
+    }
+  }
+  return bytes;
+}
+
+TEST(MessagesFuzzTest, AckBatchDecoderSurvivesMutations) {
+  Random rng(0xAC0B);
+  int decoded = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const serde::Buffer input = Mutate(AckBatchSeed(&rng), &rng);
+    AckBatchMsg parsed;
+    if (!parsed.ParseFromBytes(input).ok()) continue;
+    ++decoded;
+    EXPECT_LE(parsed.updates.size(), input.size() / 2);
+    AckBatchMsg again;
+    ASSERT_TRUE(again.ParseFromBytes(parsed.SerializeAsBuffer()).ok());
+    EXPECT_EQ(again.dest_task, parsed.dest_task);
+    EXPECT_EQ(again.updates, parsed.updates);
+    // The lazy dest peek reads the same untrusted bytes.
+    PeekAckBatchDest(input).status().ok();
+  }
+  // Mutations hit both sides of the accept/reject line.
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, 20000);
+}
+
+TEST(MessagesFuzzTest, RootEventDecoderSurvivesMutations) {
+  Random rng(0x500E);
+  int decoded = 0;
+  RootEventMsg parsed;  // Reused, as the spout executor reuses it.
+  for (int i = 0; i < 20000; ++i) {
+    const serde::Buffer input = Mutate(RootEventSeed(&rng), &rng);
+    if (!parsed.ParseFromBytes(input).ok()) continue;
+    ++decoded;
+    EXPECT_LE(parsed.events.size(), input.size() / 2);
+    RootEventMsg again;
+    ASSERT_TRUE(again.ParseFromBytes(parsed.SerializeAsBuffer()).ok());
+    EXPECT_EQ(again.events, parsed.events);
+  }
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, 20000);
+}
+
+TEST(MessagesFuzzTest, LengthPrefixPastTheEndIsRejected) {
+  // A length-delimited update whose 10-byte length varint wraps the read
+  // position back to the start of the buffer must fail as truncated, not
+  // re-read the same bytes forever.
+  for (uint64_t back = 0; back <= 12; ++back) {
+    serde::Buffer bytes;
+    serde::WireEncoder enc(&bytes);
+    enc.WriteTag(2, serde::WireType::kLengthDelimited);
+    enc.WriteVarint(~uint64_t{0} - back);
+    AckBatchMsg batch;
+    EXPECT_FALSE(batch.ParseFromBytes(bytes).ok()) << back;
+    EXPECT_FALSE(PeekAckBatchDest(bytes).ok()) << back;
+  }
 }
 
 TEST(MessagesTest, TMasterLocationRoundTrip) {

@@ -22,19 +22,38 @@ class StreamManagerTest : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
     heron::Logging::SetLevel(heron::LogLevel::kError);
-    auto topology = workloads::BuildWordCountTopology("smgr-test", 2, 2);
-    ASSERT_TRUE(topology.ok());
-    packing::RoundRobinPacking packer;
-    Config config;
-    config.SetInt(config_keys::kNumContainersHint, 2);
-    ASSERT_TRUE(packer.Initialize(config, *topology).ok());
-    auto plan = packer.Pack();
-    ASSERT_TRUE(plan.ok());
-    physical_ = *proto::PhysicalPlan::Build(*topology, *plan);
-
+    physical_ = PackWordCount(/*containers=*/2);
     ASSERT_EQ(*physical_->ContainerOfTask(0), 0);
     ASSERT_EQ(*physical_->ContainerOfTask(2), 0);
     ASSERT_EQ(*physical_->ContainerOfTask(3), 1);
+  }
+
+  /// 2 spouts + 2 bolts round-robined over `containers` containers.
+  static std::shared_ptr<const proto::PhysicalPlan> PackWordCount(
+      int containers) {
+    auto topology = workloads::BuildWordCountTopology("smgr-test", 2, 2);
+    EXPECT_TRUE(topology.ok());
+    packing::RoundRobinPacking packer;
+    Config config;
+    config.SetInt(config_keys::kNumContainersHint, containers);
+    EXPECT_TRUE(packer.Initialize(config, *topology).ok());
+    auto plan = packer.Pack();
+    EXPECT_TRUE(plan.ok());
+    return *proto::PhysicalPlan::Build(*topology, *plan);
+  }
+
+  /// The events of every kRootEvent envelope in `channel`, one entry per
+  /// envelope.
+  static std::vector<std::vector<proto::RootEvent>> DrainRootEvents(
+      EnvelopeChannel* channel) {
+    std::vector<std::vector<proto::RootEvent>> out;
+    while (auto env = channel->TryRecv()) {
+      EXPECT_EQ(env->type, proto::MessageType::kRootEvent);
+      proto::RootEventMsg msg;
+      EXPECT_TRUE(msg.ParseFromBytes(env->payload).ok());
+      out.push_back(msg.events);
+    }
+    return out;
   }
 
   StreamManager::Options BaseOptions(bool acking = false) {
@@ -268,14 +287,95 @@ TEST_P(StreamManagerTest, AckLifecycleCompletesRoot) {
                                        acks.SerializeAsBuffer()));
   EXPECT_EQ(smgr.acks_pending(), 0u);
 
-  // The spout instance got the completion event.
-  auto env = spout0.TryRecv();
-  ASSERT_TRUE(env.has_value());
-  EXPECT_EQ(env->type, proto::MessageType::kRootEvent);
-  proto::RootEventMsg event;
-  ASSERT_TRUE(event.ParseFromBytes(env->payload).ok());
-  EXPECT_EQ(event.root, root);
-  EXPECT_FALSE(event.fail);
+  // The spout instance got the completion event: one envelope, one event.
+  const auto envelopes = DrainRootEvents(&spout0);
+  ASSERT_EQ(envelopes.size(), 1u);
+  ASSERT_EQ(envelopes[0].size(), 1u);
+  EXPECT_EQ(envelopes[0][0].root, root);
+  EXPECT_FALSE(envelopes[0][0].fail);
+}
+
+TEST_P(StreamManagerTest, AckBatchShipsOneRootEventEnvelopePerSpoutTask) {
+  // Both spout tasks (0, 1) live in this SMGR's container here.
+  const auto plan = PackWordCount(/*containers=*/1);
+  Transport transport(GetParam());
+  StreamManager smgr(BaseOptions(/*acking=*/true), plan, &transport,
+                     RealClock::Get());
+  EnvelopeChannel spout0(64), spout1(64), bolt2(64), bolt3(64);
+  ASSERT_TRUE(transport.RegisterInstance(0, &spout0).ok());
+  ASSERT_TRUE(transport.RegisterInstance(1, &spout1).ok());
+  ASSERT_TRUE(transport.RegisterInstance(2, &bolt2).ok());
+  ASSERT_TRUE(transport.RegisterInstance(3, &bolt3).ok());
+
+  const api::TupleKey a0 = proto::MakeRootKey(0, 0xA0);
+  const api::TupleKey a1 = proto::MakeRootKey(0, 0xA1);
+  const api::TupleKey b0 = proto::MakeRootKey(1, 0xB0);
+  const api::TupleKey b1 = proto::MakeRootKey(1, 0xB1);
+  const api::TupleKey doomed = proto::MakeRootKey(1, 0xF0);
+  for (const api::TupleKey root : {a0, a1, b0, b1, doomed}) {
+    smgr.ProcessEnvelope(
+        InstanceBatch(proto::RootKeyTask(root), {"tracked"}, root));
+  }
+  ASSERT_EQ(smgr.acks_pending(), 5u);
+
+  proto::AckBatchMsg acks;
+  acks.dest_task = 0;
+  acks.updates = {{b0, b0, false},
+                  {a1, a1, false},
+                  {doomed, 0, true},
+                  {proto::MakeRootKey(0, 0x57A1E), 1, false},  // Stale.
+                  {a0, a0, false},
+                  {b1, b1, false}};
+  smgr.ProcessEnvelope(proto::Envelope(proto::MessageType::kAckBatch,
+                                       acks.SerializeAsBuffer()));
+  EXPECT_EQ(smgr.acks_pending(), 0u);
+
+  using Events = std::vector<proto::RootEvent>;
+  const auto to_spout0 = DrainRootEvents(&spout0);
+  ASSERT_EQ(to_spout0.size(), 1u);
+  EXPECT_EQ(to_spout0[0], (Events{{a1, false}, {a0, false}}));
+  const auto to_spout1 = DrainRootEvents(&spout1);
+  ASSERT_EQ(to_spout1.size(), 1u);
+  EXPECT_EQ(to_spout1[0], (Events{{b0, false}, {doomed, true}, {b1, false}}));
+
+  EXPECT_EQ(smgr.metrics()->GetCounter("smgr.acks.applied")->value(), 6u);
+  EXPECT_EQ(smgr.metrics()->GetCounter("smgr.roots.completed")->value(), 4u);
+  EXPECT_EQ(smgr.metrics()->GetCounter("smgr.roots.failed")->value(), 1u);
+}
+
+TEST_P(StreamManagerTest, ExpiryPassShipsOneRootEventEnvelopePerSpoutTask) {
+  const auto plan = PackWordCount(/*containers=*/1);
+  VirtualClock clock;
+  Transport transport(GetParam());
+  StreamManager::Options options = BaseOptions(/*acking=*/true);
+  options.message_timeout_ms = 10;
+  StreamManager smgr(options, plan, &transport, &clock);
+  EnvelopeChannel spout0(64), spout1(64), bolt2(64), bolt3(64);
+  ASSERT_TRUE(transport.RegisterInstance(0, &spout0).ok());
+  ASSERT_TRUE(transport.RegisterInstance(1, &spout1).ok());
+  ASSERT_TRUE(transport.RegisterInstance(2, &bolt2).ok());
+  ASSERT_TRUE(transport.RegisterInstance(3, &bolt3).ok());
+
+  std::map<TaskId, std::vector<proto::RootEvent>> want;
+  for (uint64_t i = 0; i < 200; ++i) {
+    const TaskId task = static_cast<TaskId>(i % 3 == 0 ? 1 : 0);
+    const api::TupleKey root = proto::MakeRootKey(task, 0x1000 + i);
+    smgr.ProcessEnvelope(InstanceBatch(task, {"doomed"}, root));
+    want[task].push_back({root, true});
+    clock.AdvanceNanos(1000);
+  }
+  clock.AdvanceMillis(11);
+  smgr.ExpireAcksNow();
+  EXPECT_EQ(smgr.acks_pending(), 0u);
+
+  // Every overdue root, oldest first, in one envelope per task.
+  const auto to_spout0 = DrainRootEvents(&spout0);
+  ASSERT_EQ(to_spout0.size(), 1u);
+  EXPECT_EQ(to_spout0[0], want[0]);
+  const auto to_spout1 = DrainRootEvents(&spout1);
+  ASSERT_EQ(to_spout1.size(), 1u);
+  EXPECT_EQ(to_spout1[0], want[1]);
+  EXPECT_EQ(smgr.metrics()->GetCounter("smgr.roots.timeout")->value(), 200u);
 }
 
 TEST_P(StreamManagerTest, AckBatchForRemoteSpoutForwarded) {
@@ -307,12 +407,11 @@ TEST_P(StreamManagerTest, ExpiredRootsFailBackToSpout) {
   clock.AdvanceMillis(11);
   smgr.ExpireAcksNow();
 
-  auto env = spout0.TryRecv();
-  ASSERT_TRUE(env.has_value());
-  proto::RootEventMsg event;
-  ASSERT_TRUE(event.ParseFromBytes(env->payload).ok());
-  EXPECT_EQ(event.root, root);
-  EXPECT_TRUE(event.fail);
+  const auto envelopes = DrainRootEvents(&spout0);
+  ASSERT_EQ(envelopes.size(), 1u);
+  ASSERT_EQ(envelopes[0].size(), 1u);
+  EXPECT_EQ(envelopes[0][0].root, root);
+  EXPECT_TRUE(envelopes[0][0].fail);
 }
 
 TEST_P(StreamManagerTest, FullChannelParksAndSetsBackpressure) {
