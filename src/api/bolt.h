@@ -51,6 +51,11 @@ class IBolt {
 
   /// Processes one input tuple. With acking enabled the bolt must Ack or
   /// Fail every tuple it receives (directly or via anchored emits).
+  ///
+  /// `input` is valid only during the call: the engine decodes the next
+  /// tuple into the same object, overwriting its values, roots and key. A
+  /// bolt that keeps a tuple past Execute (to ack or anchor it later) must
+  /// copy it.
   virtual void Execute(const Tuple& input) = 0;
 
   virtual void Cleanup() {}

@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "api/fields.h"
 #include "api/values.h"
@@ -34,6 +36,15 @@ class Tuple {
   const ComponentId& source_component() const { return source_component_; }
   const StreamId& stream() const { return stream_; }
   TaskId source_task() const { return source_task_; }
+  /// Overwrites the provenance in place. The engine decodes every tuple it
+  /// receives into one reused Tuple and sets this once per batch; assigning
+  /// into the existing strings keeps their capacity.
+  void set_source(std::string_view component, std::string_view stream,
+                  TaskId source_task) {
+    source_component_.assign(component);
+    stream_.assign(stream);
+    source_task_ = source_task;
+  }
 
   const Values& values() const { return values_; }
   Values* mutable_values() { return &values_; }
@@ -62,6 +73,7 @@ class Tuple {
   void set_tuple_key(TupleKey key) { tuple_key_ = key; }
   const std::vector<TupleKey>& roots() const { return roots_; }
   void set_roots(std::vector<TupleKey> roots) { roots_ = std::move(roots); }
+  std::vector<TupleKey>* mutable_roots() { return &roots_; }
 
   /// Emission timestamp at the root spout (nanos), carried end-to-end for
   /// the latency measurements of Figs. 3, 9, 11, 13.

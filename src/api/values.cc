@@ -108,28 +108,42 @@ void EncodeValue(const Value& v, serde::WireEncoder* enc) {
   }
 }
 
-Result<Value> DecodeValue(serde::WireDecoder* dec) {
+Status DecodeValueInto(serde::WireDecoder* dec, Value* out) {
   HERON_ASSIGN_OR_RETURN(uint64_t kind_raw, dec->ReadVarint());
   switch (static_cast<ValueKind>(kind_raw)) {
     case ValueKind::kInt64: {
       HERON_ASSIGN_OR_RETURN(uint64_t raw, dec->ReadVarint());
-      return Value(serde::ZigZagDecode(raw));
+      out->emplace<int64_t>(serde::ZigZagDecode(raw));
+      return Status::OK();
     }
     case ValueKind::kDouble: {
       HERON_ASSIGN_OR_RETURN(double d, dec->ReadDouble());
-      return Value(d);
+      out->emplace<double>(d);
+      return Status::OK();
     }
     case ValueKind::kBool: {
       HERON_ASSIGN_OR_RETURN(uint64_t raw, dec->ReadVarint());
-      return Value(raw != 0);
+      out->emplace<bool>(raw != 0);
+      return Status::OK();
     }
     case ValueKind::kString: {
       HERON_ASSIGN_OR_RETURN(serde::BytesView bytes, dec->ReadBytes());
-      return Value(std::string(bytes));
+      if (auto* s = std::get_if<std::string>(out)) {
+        s->assign(bytes.data(), bytes.size());
+      } else {
+        out->emplace<std::string>(bytes);
+      }
+      return Status::OK();
     }
   }
   return Status::IOError(StrFormat("unknown value kind %llu",
                                    static_cast<unsigned long long>(kind_raw)));
+}
+
+Result<Value> DecodeValue(serde::WireDecoder* dec) {
+  Value v;
+  HERON_RETURN_NOT_OK(DecodeValueInto(dec, &v));
+  return v;
 }
 
 std::string ValueToString(const Value& v) {

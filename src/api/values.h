@@ -50,6 +50,12 @@ uint64_t HashCombine(uint64_t seed, uint64_t h);
 /// \brief Serializes one value as (kind varint, payload).
 void EncodeValue(const Value& v, serde::WireEncoder* enc);
 
+/// \brief Decodes one value written by EncodeValue into `out`, reusing
+/// what `out` already holds: a string read into a slot that holds a string
+/// is assigned into that string's capacity, so a warm slot decodes without
+/// allocating. On error `out` is left unchanged.
+Status DecodeValueInto(serde::WireDecoder* dec, Value* out);
+
 /// \brief Decodes one value written by EncodeValue.
 Result<Value> DecodeValue(serde::WireDecoder* dec);
 

@@ -402,43 +402,62 @@ bool HeronInstance::SpoutStep() {
 }
 
 bool HeronInstance::ProcessRoutedBatch(serde::Buffer& payload) {
-  proto::TupleBatchMsg batch;
-  if (!batch.ParseFromBytes(payload).ok()) {
+  if (!proto::ParseTupleBatchView(payload, &batch_view_).ok()) {
     HLOG(ERROR) << "task " << options_.task << " dropping malformed batch";
     return true;
   }
-  if (aligning_ckpt_ != 0 && barriered_.count(batch.src_task) > 0) {
+  if (aligning_ckpt_ != 0 && barriered_.count(batch_view_.src_task) > 0) {
     // This channel already delivered its barrier for the in-flight
     // checkpoint: the batch is post-barrier data and must not leak into
-    // the snapshot. Park the raw payload until alignment completes.
+    // the snapshot. Park the raw payload until alignment completes; the
+    // views into it are not read again before the next parse.
     aligned_buffer_.push_back(std::move(payload));
     aligned_buffered_->Increment();
     return false;
   }
-  api::Tuple tuple;
-  proto::TupleDataMsg msg;
-  for (const serde::Buffer& tuple_bytes : batch.tuples) {
-    msg.Clear();
-    if (!msg.ParseFromBytes(tuple_bytes).ok()) continue;
-    // Tracing rides the parsed message: untraced tuples (trace_id 0, the
-    // sampled-out common case) branch once and move on.
-    const uint64_t trace_id =
-        options_.span_collector != nullptr ? msg.trace_id : 0;
-    if (trace_id != 0) {
+  // Copy-free receive: every tuple decodes straight from the payload into
+  // the one reused tuple, so a warm instance allocates nothing per tuple.
+  received_.set_source(batch_view_.src_component, batch_view_.stream,
+                       batch_view_.src_task);
+  for (const serde::BytesView tuple_bytes : batch_view_.tuples) {
+    uint64_t trace_id = 0;
+    if (!proto::DecodeTupleInto(tuple_bytes, &received_, &trace_id).ok()) {
+      continue;
+    }
+    // Untraced tuples (trace_id 0, the sampled-out common case) branch
+    // once and move on.
+    const bool traced = trace_id != 0 && options_.span_collector != nullptr;
+    if (traced) {
       options_.span_collector->Record(
           trace_id, observability::TraceStage::kInstanceDequeue,
           options_.task, clock_->NowNanos());
     }
-    msg.ToTuple(batch.src_component, batch.stream, batch.src_task, &tuple);
     executed_->Increment();
-    bolt_->Execute(tuple);
-    if (trace_id != 0) {
+    bolt_->Execute(received_);
+    if (traced) {
       options_.span_collector->Record(trace_id,
                                       observability::TraceStage::kExecute,
                                       options_.task, clock_->NowNanos());
     }
   }
+  ReleaseOversizedReceiveState();
   return true;
+}
+
+void HeronInstance::ReleaseOversizedReceiveState() {
+  // The pool's per-buffer bound applied to the receive scratch: one
+  // outsized batch or tuple must not stay resident for the instance's life.
+  size_t bytes = batch_view_.tuples.capacity() * sizeof(serde::BytesView) +
+                 received_.roots().capacity() * sizeof(api::TupleKey) +
+                 received_.values().capacity() * sizeof(api::Value);
+  for (const api::Value& v : received_.values()) {
+    if (const auto* str = std::get_if<std::string>(&v)) {
+      bytes += str->capacity();
+    }
+  }
+  if (bytes <= transport_->buffer_pool()->max_buffer_bytes()) return;
+  received_ = api::Tuple();
+  batch_view_ = proto::TupleBatchView();
 }
 
 void HeronInstance::HandleBarrier(const serde::Buffer& payload) {

@@ -128,6 +128,9 @@ class HeronInstance {
   /// channel, in which case the payload is moved into `aligned_buffer_`
   /// and false is returned (the caller must not recycle it).
   bool ProcessRoutedBatch(serde::Buffer& payload);
+  /// Drops the receive scratch (batch view, reused tuple) when it holds
+  /// more than the buffer pool keeps per buffer.
+  void ReleaseOversizedReceiveState();
 
   // -- Checkpointing (aligned barriers; ROADMAP item 2) --------------------
 
@@ -183,6 +186,11 @@ class HeronInstance {
   std::atomic<int64_t> pending_count_{0};
   /// Decode scratch for kRootEvent envelopes (keeps its capacity).
   proto::RootEventMsg root_events_scratch_;
+  /// Bolt receive scratch, reused across batches: views into the routed
+  /// payload being executed, and the one tuple every received tuple is
+  /// decoded into (IBolt::Execute's input).
+  proto::TupleBatchView batch_view_;
+  api::Tuple received_;
   /// Spout emission sequence for deterministic 1-in-N trace sampling.
   uint64_t emit_seq_ = 0;
 

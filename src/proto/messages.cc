@@ -61,43 +61,101 @@ void TupleDataMsg::SerializeTo(serde::WireEncoder* enc) const {
   enc->EndLengthDelimited(mark);
 }
 
-Status TupleDataMsg::ParseFrom(serde::WireDecoder* dec) {
+namespace {
+
+/// Decodes a values blob (varint count, then EncodeValue * count) into
+/// `values` slot by slot: slot i receives value i in place and the vector
+/// is resized to the count, so a destination that already holds a tuple of
+/// the same shape decodes without allocating.
+Status DecodeValuesInto(serde::BytesView blob, api::Values* values) {
+  serde::WireDecoder dec(blob);
+  HERON_ASSIGN_OR_RETURN(uint64_t count, dec.ReadVarint());
+  // Every value takes at least two bytes (kind, payload), so a count past
+  // the bytes left is corrupt. Checking first bounds the resize by the
+  // input rather than by an untrusted varint.
+  if (count > blob.size() - dec.position()) {
+    return Status::IOError(StrFormat(
+        "values blob claims %llu values in %zu bytes",
+        static_cast<unsigned long long>(count), blob.size() - dec.position()));
+  }
+  values->resize(count);
+  for (api::Value& v : *values) {
+    HERON_RETURN_NOT_OK(api::DecodeValueInto(&dec, &v));
+  }
+  return Status::OK();
+}
+
+/// Where one TupleDataMsg decode writes each field.
+struct TupleFieldSinks {
+  api::TupleKey* tuple_key;
+  std::vector<api::TupleKey>* roots;
+  int64_t* emit_time_nanos;
+  uint64_t* trace_id;
+  api::Values* values;
+};
+
+/// The one field loop of the tuple wire format, shared by
+/// TupleDataMsg::ParseFrom and DecodeTupleInto. Overwrites every sink: a
+/// field the bytes lack reads as its default. On error the sinks hold a
+/// partial decode that the next successful one overwrites in full.
+Status DecodeTupleFields(serde::WireDecoder* dec, const TupleFieldSinks& out) {
+  *out.tuple_key = 0;
+  out.roots->clear();
+  *out.emit_time_nanos = 0;
+  *out.trace_id = 0;
+  bool has_values = false;
   while (!dec->AtEnd()) {
     HERON_ASSIGN_OR_RETURN(uint32_t tag, dec->ReadTag());
     if (tag == 0) break;
     switch (serde::TagFieldNumber(tag)) {
       case kTdKey: {
-        HERON_ASSIGN_OR_RETURN(tuple_key, dec->ReadUint64());
+        HERON_ASSIGN_OR_RETURN(*out.tuple_key, dec->ReadUint64());
         break;
       }
       case kTdRoot: {
         HERON_ASSIGN_OR_RETURN(api::TupleKey root, dec->ReadUint64());
-        roots.push_back(root);
+        out.roots->push_back(root);
         break;
       }
       case kTdEmitTime: {
-        HERON_ASSIGN_OR_RETURN(emit_time_nanos, dec->ReadInt64());
+        HERON_ASSIGN_OR_RETURN(*out.emit_time_nanos, dec->ReadInt64());
         break;
       }
       case kTdTraceId: {
-        HERON_ASSIGN_OR_RETURN(trace_id, dec->ReadUint64());
+        HERON_ASSIGN_OR_RETURN(*out.trace_id, dec->ReadUint64());
         break;
       }
       case kTdValues: {
         HERON_ASSIGN_OR_RETURN(serde::BytesView blob, dec->ReadBytes());
-        serde::WireDecoder inner(blob);
-        HERON_ASSIGN_OR_RETURN(uint64_t count, inner.ReadVarint());
-        values.reserve(values.size() + count);
-        for (uint64_t i = 0; i < count; ++i) {
-          HERON_ASSIGN_OR_RETURN(api::Value v, api::DecodeValue(&inner));
-          values.push_back(std::move(v));
-        }
+        HERON_RETURN_NOT_OK(DecodeValuesInto(blob, out.values));
+        has_values = true;
         break;
       }
       default:
         HERON_RETURN_NOT_OK(dec->SkipField(serde::TagWireType(tag)));
     }
   }
+  if (!has_values) out.values->clear();
+  return Status::OK();
+}
+
+}  // namespace
+
+Status TupleDataMsg::ParseFrom(serde::WireDecoder* dec) {
+  return DecodeTupleFields(
+      dec, {&tuple_key, &roots, &emit_time_nanos, &trace_id, &values});
+}
+
+Status DecodeTupleInto(serde::BytesView tuple_bytes, api::Tuple* out,
+                       uint64_t* trace_id) {
+  serde::WireDecoder dec(tuple_bytes);
+  api::TupleKey key = 0;
+  int64_t emit_time_nanos = 0;
+  HERON_RETURN_NOT_OK(DecodeTupleFields(
+      &dec, {&key, out->mutable_roots(), &emit_time_nanos, trace_id,
+             out->mutable_values()}));
+  out->set_tuple_key(key);
+  out->set_emit_time_nanos(emit_time_nanos);
   return Status::OK();
 }
 
@@ -419,6 +477,12 @@ TaskId RootKeyTask(api::TupleKey root) {
 }
 
 Status ParseTupleBatchView(serde::BytesView batch_bytes, TupleBatchView* out) {
+  // Same defaults as TupleBatchMsg::Clear, so a reused view never carries a
+  // header field over from the previous batch.
+  out->src_task = -1;
+  out->dest_task = -1;
+  out->stream = kDefaultStreamId;
+  out->src_component = {};
   out->tuples.clear();
   serde::WireDecoder dec(batch_bytes);
   while (!dec.AtEnd()) {

@@ -298,7 +298,20 @@ struct TupleBatchView {
 };
 
 /// Parses a serialized TupleBatchMsg into views (no payload copies).
+/// Header fields the bytes lack read as TupleBatchMsg's defaults.
 Status ParseTupleBatchView(serde::BytesView batch_bytes, TupleBatchView* out);
+
+/// \brief In-place decode of one serialized TupleDataMsg into a reused
+/// tuple — the bolt receive path. Overwrites the key, roots, emit time and
+/// values of `out` (provenance is the caller's, set once per batch with
+/// api::Tuple::set_source) and stores the trace id in `*trace_id`. Each
+/// value is decoded into the slot of the same index, so once `out` has
+/// held a tuple of the same shape the decode performs no allocation and
+/// copies each string payload once. Shares its field loop with
+/// TupleDataMsg::ParseFrom. On error `out` holds a partial decode, which
+/// the next successful decode overwrites in full.
+Status DecodeTupleInto(serde::BytesView tuple_bytes, api::Tuple* out,
+                       uint64_t* trace_id);
 
 /// \brief Lazy ack-metadata peek: reads only tuple_key and roots from a
 /// serialized TupleDataMsg, stopping before the values blob.

@@ -100,6 +100,37 @@ TEST(ValuesTest, DecodeRejectsGarbageKind) {
   EXPECT_FALSE(DecodeValue(&dec).ok());
 }
 
+TEST(ValuesTest, DecodeValueIntoReusesTheSlot) {
+  const auto decode_into = [](const serde::Buffer& bytes, Value* slot) {
+    serde::WireDecoder dec(bytes);
+    return DecodeValueInto(&dec, slot);
+  };
+  const auto encoded = [](const Value& v) {
+    serde::Buffer buf;
+    serde::WireEncoder enc(&buf);
+    EncodeValue(v, &enc);
+    return buf;
+  };
+  // A string lands in the storage of the string the slot already holds.
+  Value slot(std::string(64, 'x'));
+  const char* storage = std::get<std::string>(slot).data();
+  ASSERT_TRUE(decode_into(encoded(Value(std::string("word"))), &slot).ok());
+  EXPECT_EQ(slot, Value(std::string("word")));
+  EXPECT_EQ(std::get<std::string>(slot).data(), storage);
+  // Another kind replaces it.
+  ASSERT_TRUE(decode_into(encoded(Value(int64_t{7})), &slot).ok());
+  EXPECT_EQ(slot, Value(int64_t{7}));
+  // A failed decode (bad kind, truncated string) leaves the slot as it was.
+  serde::Buffer bad;
+  serde::WireEncoder enc(&bad);
+  enc.WriteVarint(250);
+  EXPECT_FALSE(decode_into(bad, &slot).ok());
+  serde::Buffer truncated = encoded(Value(std::string("truncated")));
+  truncated.pop_back();
+  EXPECT_FALSE(decode_into(truncated, &slot).ok());
+  EXPECT_EQ(slot, Value(int64_t{7}));
+}
+
 /// Property sweep: random multi-value tuples round-trip.
 class ValuesRoundTrip : public ::testing::TestWithParam<uint64_t> {};
 

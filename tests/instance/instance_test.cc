@@ -241,6 +241,128 @@ TEST_F(InstanceTest, BoltExecutesRoutedBatchesAndAcksUpstream) {
   }
 }
 
+/// What a bolt observed of one input tuple.
+struct SeenTuple {
+  api::Values values;
+  std::vector<api::TupleKey> roots;
+  api::TupleKey key = 0;
+  int64_t emit_time_nanos = 0;
+  ComponentId source_component;
+  StreamId stream;
+  TaskId source_task = -1;
+};
+
+/// Copies every input it is handed; the engine reuses the input object.
+class RecordingBolt final : public api::IBolt {
+ public:
+  explicit RecordingBolt(std::shared_ptr<std::vector<SeenTuple>> seen)
+      : seen_(std::move(seen)) {}
+  void Prepare(const Config&, api::TopologyContext*,
+               api::IBoltOutputCollector*) override {}
+  void Execute(const api::Tuple& input) override {
+    seen_->push_back({input.values(), input.roots(), input.tuple_key(),
+                      input.emit_time_nanos(), input.source_component(),
+                      input.stream(), input.source_task()});
+  }
+
+ private:
+  std::shared_ptr<std::vector<SeenTuple>> seen_;
+};
+
+TEST_F(InstanceTest, ReusedInputTupleCarriesExactlyEachReceivedTuple) {
+  auto seen = std::make_shared<std::vector<SeenTuple>>();
+  api::TopologyBuilder builder("inst-reuse");
+  builder
+      .SetSpout(
+          "src",
+          [] { return std::make_unique<workloads::WordSpout>(
+                   workloads::WordSpout::Options{}); },
+          1)
+      .OutputFields({"word"}, "side");
+  builder
+      .SetBolt(
+          "rec", [seen] { return std::make_unique<RecordingBolt>(seen); }, 1)
+      .ShuffleGrouping("src", "side");
+  auto topology = builder.Build();
+  ASSERT_TRUE(topology.ok());
+  packing::RoundRobinPacking packer;
+  Config config;
+  config.SetInt(config_keys::kNumContainersHint, 1);
+  ASSERT_TRUE(packer.Initialize(config, *topology).ok());
+  auto plan = packer.Pack();
+  ASSERT_TRUE(plan.ok());
+
+  HeronInstance::Options options;
+  options.task = 1;  // The recording bolt.
+  HeronInstance bolt(options, *proto::PhysicalPlan::Build(*topology, *plan),
+                     transport_.get(), RealClock::Get(), nullptr);
+  ASSERT_TRUE(bolt.StartStepMode().ok());
+
+  // Arity, kinds and root count change from tuple to tuple, so every slot
+  // the reused tuple holds is overwritten, retyped or dropped.
+  std::vector<proto::TupleDataMsg> good(3);
+  good[0].tuple_key = 11;
+  good[0].roots = {proto::MakeRootKey(0, 1), proto::MakeRootKey(0, 2)};
+  good[0].emit_time_nanos = 1000;
+  good[0].values = {std::string(1024, 'p'), int64_t{7}, int64_t{-3}};
+  good[1].tuple_key = 22;
+  good[1].emit_time_nanos = 2000;
+  good[1].values = {int64_t{42}};
+  good[2].tuple_key = 33;
+  good[2].roots = {proto::MakeRootKey(0, 3)};
+  good[2].emit_time_nanos = 3000;
+  good[2].values = {std::string("alpha"), std::string("beta")};
+
+  // Malformed: key, three roots and a first value decode before the
+  // second value's kind is rejected (field numbers as documented on
+  // TupleDataMsg). None of it may reach the bolt or the next tuple.
+  serde::Buffer bad;
+  serde::WireEncoder enc(&bad);
+  enc.WriteUint64Field(1, 0xBAD);
+  for (uint64_t r = 7; r < 10; ++r) {
+    enc.WriteUint64Field(2, proto::MakeRootKey(0, r));
+  }
+  enc.WriteInt64Field(3, 9999);
+  const size_t mark = enc.BeginLengthDelimited(4);
+  enc.WriteVarint(3);
+  api::EncodeValue(std::string("poison"), &enc);
+  enc.WriteVarint(9);  // No such value kind.
+  enc.WriteVarint(0);
+  enc.EndLengthDelimited(mark);
+
+  proto::TupleBatchMsg batch;
+  batch.src_task = 0;
+  batch.dest_task = 1;
+  batch.stream = "side";
+  batch.src_component = "src";
+  batch.tuples.push_back(good[0].SerializeAsBuffer());
+  batch.tuples.push_back(good[1].SerializeAsBuffer());
+  batch.tuples.push_back(bad);
+  batch.tuples.push_back(good[2].SerializeAsBuffer());
+  ASSERT_TRUE(bolt.inbound()
+                  ->TrySend(proto::Envelope(
+                      proto::MessageType::kTupleBatchRouted,
+                      batch.SerializeAsBuffer()))
+                  .ok());
+  for (int i = 0; i < 100 && seen->size() < good.size(); ++i) {
+    bolt.loop()->RunOnce();
+  }
+
+  ASSERT_EQ(seen->size(), good.size());
+  for (size_t i = 0; i < good.size(); ++i) {
+    const SeenTuple& got = (*seen)[i];
+    EXPECT_EQ(got.values, good[i].values) << i;
+    EXPECT_EQ(got.roots, good[i].roots) << i;
+    EXPECT_EQ(got.key, good[i].tuple_key) << i;
+    EXPECT_EQ(got.emit_time_nanos, good[i].emit_time_nanos) << i;
+    EXPECT_EQ(got.source_component, "src") << i;
+    EXPECT_EQ(got.stream, "side") << i;
+    EXPECT_EQ(got.source_task, 0) << i;
+  }
+  EXPECT_EQ(bolt.metrics()->GetCounter("instance.executed")->value(), 3u);
+  bolt.Stop();
+}
+
 TEST_F(InstanceTest, StartRejectsUnknownTask) {
   HeronInstance::Options options;
   options.task = 42;

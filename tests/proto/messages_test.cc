@@ -329,6 +329,182 @@ TEST(MessagesFuzzTest, LengthPrefixPastTheEndIsRejected) {
   }
 }
 
+// -- Data-path decoder fuzzing ---------------------------------------------
+//
+// The same mutations over the decoders every routed tuple crosses: the
+// batch view parse (SMGR and instance), the tuple decode and the
+// instance's in-place decode into a reused tuple.
+
+/// A valid tuple encoding of seeded shape: 0-3 roots, 0-5 values of every
+/// kind, strings from empty to past the short-string buffer, sometimes
+/// 1 KiB, sometimes traced.
+serde::Buffer TupleSeed(Random* rng) {
+  TupleDataMsg msg;
+  msg.tuple_key = rng->NextUint64();
+  const size_t roots = rng->NextBelow(4);
+  for (size_t i = 0; i < roots; ++i) {
+    msg.roots.push_back(MakeRootKey(static_cast<TaskId>(rng->NextBelow(64)),
+                                    rng->NextUint64()));
+  }
+  msg.emit_time_nanos = static_cast<int64_t>(rng->NextUint64());
+  if (rng->NextBool(0.1)) msg.trace_id = rng->NextUint64();
+  const size_t values = rng->NextBelow(6);
+  for (size_t i = 0; i < values; ++i) {
+    switch (rng->NextBelow(4)) {
+      case 0:
+        msg.values.emplace_back(static_cast<int64_t>(rng->NextUint64()));
+        break;
+      case 1:
+        msg.values.emplace_back(static_cast<double>(rng->NextBelow(1000)) / 8);
+        break;
+      case 2:
+        msg.values.emplace_back(rng->NextBool());
+        break;
+      default:
+        msg.values.emplace_back(std::string(
+            rng->NextBool(0.05) ? 1024 : rng->NextBelow(40),
+            static_cast<char>('a' + rng->NextBelow(26))));
+    }
+  }
+  return msg.SerializeAsBuffer();
+}
+
+serde::Buffer BatchSeed(Random* rng) {
+  TupleBatchMsg batch;
+  batch.src_task = static_cast<TaskId>(rng->NextBelow(64));
+  batch.dest_task = static_cast<TaskId>(rng->NextBelow(64));
+  batch.stream = rng->NextBool() ? "default" : "side";
+  batch.src_component = "word";
+  const size_t n = rng->NextBelow(6);
+  for (size_t i = 0; i < n; ++i) batch.tuples.push_back(TupleSeed(rng));
+  return batch.SerializeAsBuffer();
+}
+
+/// Values by their wire bytes, so a mutated NaN compares equal to itself.
+serde::Buffer EncodedValues(const api::Values& values) {
+  serde::Buffer out;
+  serde::WireEncoder enc(&out);
+  for (const api::Value& v : values) api::EncodeValue(v, &enc);
+  return out;
+}
+
+/// Decodes `input` into the reused tuple and into a fresh message; both
+/// must agree on success and, when they succeed, on every field.
+void ExpectInPlaceMatchesFresh(const serde::Buffer& input, api::Tuple* reused,
+                               int* decoded) {
+  uint64_t trace_id = 0xDEAD;  // Must be overwritten, traced or not.
+  const bool in_place = DecodeTupleInto(input, reused, &trace_id).ok();
+  TupleDataMsg fresh_msg;
+  const bool fresh = fresh_msg.ParseFromBytes(input).ok();
+  ASSERT_EQ(in_place, fresh);
+  if (!fresh) return;
+  ++*decoded;
+  api::Tuple expected;
+  fresh_msg.ToTuple("word", "default", 4, &expected);
+  EXPECT_EQ(reused->tuple_key(), expected.tuple_key());
+  EXPECT_EQ(reused->roots(), expected.roots());
+  EXPECT_EQ(reused->emit_time_nanos(), expected.emit_time_nanos());
+  EXPECT_EQ(trace_id, fresh_msg.trace_id);
+  EXPECT_EQ(EncodedValues(reused->values()), EncodedValues(expected.values()));
+  // Provenance belongs to the batch; a tuple decode never touches it.
+  EXPECT_EQ(reused->source_component(), "word");
+  EXPECT_EQ(reused->source_task(), 4);
+}
+
+TEST(MessagesFuzzTest, TupleBatchViewSurvivesMutations) {
+  Random rng(0xBA7C);
+  int decoded = 0;
+  TupleBatchView view;  // Reused, as the SMGR and the instance reuse it.
+  for (int i = 0; i < 20000; ++i) {
+    const serde::Buffer input = Mutate(BatchSeed(&rng), &rng);
+    const bool ok = ParseTupleBatchView(input, &view).ok();
+    // The view parse and the copying parse accept exactly the same bytes
+    // and read the same header and tuples from them.
+    TupleBatchMsg eager;
+    ASSERT_EQ(ok, eager.ParseFromBytes(input).ok());
+    if (!ok) continue;
+    ++decoded;
+    EXPECT_EQ(view.src_task, eager.src_task);
+    EXPECT_EQ(view.dest_task, eager.dest_task);
+    EXPECT_EQ(view.stream, eager.stream);
+    EXPECT_EQ(view.src_component, eager.src_component);
+    ASSERT_EQ(view.tuples.size(), eager.tuples.size());
+    for (size_t t = 0; t < view.tuples.size(); ++t) {
+      EXPECT_EQ(view.tuples[t], eager.tuples[t]);
+      EXPECT_GE(view.tuples[t].data(), input.data());
+      EXPECT_LE(view.tuples[t].data() + view.tuples[t].size(),
+                input.data() + input.size());
+    }
+  }
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, 20000);
+}
+
+TEST(MessagesFuzzTest, TupleDecoderSurvivesMutations) {
+  Random rng(0x7D47);
+  int decoded = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const serde::Buffer input = Mutate(TupleSeed(&rng), &rng);
+    TupleDataMsg parsed;
+    if (!parsed.ParseFromBytes(input).ok()) continue;
+    ++decoded;
+    EXPECT_LE(parsed.values.size(), input.size() / 2);
+    TupleDataMsg again;
+    ASSERT_TRUE(again.ParseFromBytes(parsed.SerializeAsBuffer()).ok());
+    EXPECT_EQ(again.tuple_key, parsed.tuple_key);
+    EXPECT_EQ(again.roots, parsed.roots);
+    EXPECT_EQ(again.emit_time_nanos, parsed.emit_time_nanos);
+    EXPECT_EQ(again.trace_id, parsed.trace_id);
+    EXPECT_EQ(EncodedValues(again.values), EncodedValues(parsed.values));
+    // The lazy peeks read the same untrusted bytes.
+    PeekTraceId(input).status().ok();
+    PeekFieldsHash(input, {0}).status().ok();
+    api::TupleKey key = 0;
+    std::vector<api::TupleKey> roots;
+    PeekTupleKeyAndRoots(input, &key, &roots).ok();
+  }
+  EXPECT_GT(decoded, 0);
+  EXPECT_LT(decoded, 20000);
+}
+
+TEST(MessagesFuzzTest, InPlaceDecodeMatchesFreshDecode) {
+  // One tuple reused across every decode, as the instance reuses it:
+  // mutated and valid encodings alternate, so each valid tuple lands on
+  // whatever a failed, larger or differently typed tuple left behind.
+  Random rng(0x1D7A);
+  api::Tuple reused;
+  reused.set_source("word", "default", 4);
+  int mutated_decoded = 0;
+  int valid_decoded = 0;
+  for (int i = 0; i < 20000; ++i) {
+    ExpectInPlaceMatchesFresh(Mutate(TupleSeed(&rng), &rng), &reused,
+                              &mutated_decoded);
+    ExpectInPlaceMatchesFresh(TupleSeed(&rng), &reused, &valid_decoded);
+  }
+  EXPECT_GT(mutated_decoded, 0);
+  EXPECT_LT(mutated_decoded, 20000);
+  EXPECT_EQ(valid_decoded, 20000);
+}
+
+TEST(MessagesFuzzTest, ValueCountPastTheBlobIsRejected) {
+  // A values blob of three value bytes claiming 2^40 values must fail
+  // as corrupt, not size a vector by the claim (which throws bad_alloc).
+  serde::Buffer bytes;
+  serde::WireEncoder enc(&bytes);
+  enc.WriteUint64Field(1, 42);  // tuple_key
+  const size_t mark = enc.BeginLengthDelimited(4);  // values
+  enc.WriteVarint(uint64_t{1} << 40);
+  api::EncodeValue(int64_t{5}, &enc);
+  enc.WriteVarint(0);
+  enc.EndLengthDelimited(mark);
+
+  TupleDataMsg msg;
+  EXPECT_TRUE(msg.ParseFromBytes(bytes).IsIOError());
+  api::Tuple tuple;
+  uint64_t trace_id = 0;
+  EXPECT_TRUE(DecodeTupleInto(bytes, &tuple, &trace_id).IsIOError());
+}
+
 TEST(MessagesTest, TMasterLocationRoundTrip) {
   TMasterLocationMsg msg;
   msg.topology = "wc";
@@ -357,6 +533,26 @@ TEST(MessagesTest, UnknownFieldsAreSkipped) {
   TupleDataMsg parsed;
   ASSERT_TRUE(parsed.ParseFromBytes(bytes).ok());
   EXPECT_EQ(parsed.values, MakeTuple().values);
+}
+
+TEST(MessagesTest, ParseFromOverwritesEveryField) {
+  // ParseFrom without a Clear first (the Message contract: it fully
+  // overwrites) on bytes that carry only an empty values field: every
+  // field of the previous decode reads as its default.
+  TupleDataMsg msg = MakeTuple();
+  msg.trace_id = 99;
+  serde::Buffer bytes;
+  serde::WireEncoder enc(&bytes);
+  const size_t mark = enc.BeginLengthDelimited(4);  // values
+  enc.WriteVarint(0);
+  enc.EndLengthDelimited(mark);
+  serde::WireDecoder dec(bytes);
+  ASSERT_TRUE(msg.ParseFrom(&dec).ok());
+  EXPECT_EQ(msg.tuple_key, 0u);
+  EXPECT_TRUE(msg.roots.empty());
+  EXPECT_EQ(msg.emit_time_nanos, 0);
+  EXPECT_EQ(msg.trace_id, 0u);
+  EXPECT_TRUE(msg.values.empty());
 }
 
 TEST(MessagesTest, ClearResetsEverything) {
