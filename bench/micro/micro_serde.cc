@@ -30,29 +30,6 @@ serde::Buffer MakeBatchBytes(int tuples) {
   return batch.SerializeAsBuffer();
 }
 
-/// Instance-side serialize, buffer reused (the engine's steady state).
-void BM_SerializeTuple(benchmark::State& state) {
-  const proto::TupleDataMsg msg = MakeWordTuple();
-  serde::Buffer buffer;
-  for (auto _ : state) {
-    buffer.clear();
-    serde::WireEncoder enc(&buffer);
-    msg.SerializeTo(&enc);
-    benchmark::DoNotOptimize(buffer.data());
-  }
-}
-BENCHMARK(BM_SerializeTuple);
-
-/// Instance-side full deserialize.
-void BM_DeserializeTuple(benchmark::State& state) {
-  const serde::Buffer bytes = MakeWordTuple().SerializeAsBuffer();
-  proto::TupleDataMsg msg;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(msg.ParseFromBytes(bytes).ok());
-  }
-}
-BENCHMARK(BM_DeserializeTuple);
-
 /// A bulk tuple as the live benchmark ships it: (key, 1 KiB payload, emit
 /// time), untracked.
 proto::TupleDataMsg MakePayloadTuple() {
@@ -64,6 +41,57 @@ proto::TupleDataMsg MakePayloadTuple() {
   msg.values.emplace_back(int64_t{1234567890});
   return msg;
 }
+
+/// Instance-side serialize, buffer reused (the engine's steady state).
+/// Arg 0 = word tuple, 1 = 1 KiB tuple.
+void BM_SerializeTuple(benchmark::State& state) {
+  const proto::TupleDataMsg msg =
+      state.range(0) == 0 ? MakeWordTuple() : MakePayloadTuple();
+  serde::Buffer buffer;
+  for (auto _ : state) {
+    buffer.clear();
+    serde::WireEncoder enc(&buffer);
+    msg.SerializeTo(&enc);
+    benchmark::DoNotOptimize(buffer.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_SerializeTuple)->ArgName("payload_1k")->Arg(0)->Arg(1);
+
+/// What the outbox pays per emitted tuple: the tuple appended as a
+/// length-delimited field of a 64-tuple batch buffer, reused across
+/// batches. Arg 0 = word tuples, 1 = 1 KiB tuples; per_tuple is the time
+/// per tuple.
+void BM_AppendTupleField(benchmark::State& state) {
+  constexpr int kTuples = 64;
+  const proto::TupleDataMsg msg =
+      state.range(0) == 0 ? MakeWordTuple() : MakePayloadTuple();
+  serde::Buffer buffer;
+  for (auto _ : state) {
+    buffer.clear();
+    serde::WireEncoder enc(&buffer);
+    for (int i = 0; i < kTuples; ++i) {
+      msg.AppendAsField(proto::tuple_batch_fields::kTuple, &enc);
+    }
+    benchmark::DoNotOptimize(buffer.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * kTuples);
+  state.counters["per_tuple"] = benchmark::Counter(
+      kTuples, benchmark::Counter::kIsIterationInvariantRate |
+                   benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_AppendTupleField)->ArgName("payload_1k")->Arg(0)->Arg(1);
+
+/// Instance-side full deserialize.
+void BM_DeserializeTuple(benchmark::State& state) {
+  const serde::Buffer bytes = MakeWordTuple().SerializeAsBuffer();
+  proto::TupleDataMsg msg;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(msg.ParseFromBytes(bytes).ok());
+  }
+}
+BENCHMARK(BM_DeserializeTuple);
 
 /// What a bolt pays per received tuple: view parse of a routed 64-tuple
 /// batch plus the in-place decode of every tuple into one reused tuple.

@@ -13,7 +13,8 @@
 #               tears processes down mid-stream while survivors still hold
 #               endpoints; ASan proves nothing dangles.
 #   undefined — integer/shift/alignment UB in the serde and XOR-tracker
-#               hot paths.
+#               hot paths, plus float-cast-overflow (which GCC leaves out
+#               of -fsanitize=undefined) for decoded doubles.
 #
 # Usage:
 #   scripts/san_lane.sh <address|thread|undefined> [build-dir] \

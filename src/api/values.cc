@@ -20,56 +20,21 @@ uint64_t FnvBytes(const void* data, size_t len, uint64_t seed = kFnvOffset) {
 }
 }  // namespace
 
-ValueKind KindOf(const Value& v) {
-  return static_cast<ValueKind>(v.index());
-}
-
 uint64_t HashSerializedBytes(const void* data, size_t len) {
   return FnvBytes(data, len);
 }
 
 uint64_t HashValue(const Value& v) {
   // The hash is defined over the value's canonical wire encoding (the
-  // exact bytes EncodeValue writes), so the Stream Manager's lazy path —
+  // exact bytes PutValue writes), so the Stream Manager's lazy path —
   // which hashes serialized byte ranges without decoding (§V-A) — routes
-  // identically to this decoded path. The bytes are folded in streaming
-  // fashion; nothing is materialized.
-  uint64_t h = kFnvOffset;
-  const auto mix = [&h](uint8_t b) {
-    h ^= b;
-    h *= kFnvPrime;
-  };
-  const auto mix_varint = [&mix](uint64_t x) {
-    while (x >= 0x80) {
-      mix(static_cast<uint8_t>((x & 0x7F) | 0x80));
-      x >>= 7;
-    }
-    mix(static_cast<uint8_t>(x));
-  };
-  switch (KindOf(v)) {
-    case ValueKind::kInt64:
-      mix(static_cast<uint8_t>(ValueKind::kInt64));
-      mix_varint(serde::ZigZagEncode(std::get<int64_t>(v)));
-      break;
-    case ValueKind::kDouble: {
-      mix(static_cast<uint8_t>(ValueKind::kDouble));
-      uint64_t bits;
-      const double d = std::get<double>(v);
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      for (int i = 0; i < 8; ++i) mix(static_cast<uint8_t>(bits >> (8 * i)));
-      break;
-    }
-    case ValueKind::kBool:
-      mix(static_cast<uint8_t>(ValueKind::kBool));
-      mix(std::get<bool>(v) ? 1 : 0);
-      break;
-    case ValueKind::kString: {
-      mix(static_cast<uint8_t>(ValueKind::kString));
-      const std::string& s = std::get<std::string>(v);
-      mix_varint(s.size());
-      for (const char c : s) mix(static_cast<uint8_t>(c));
-      break;
-    }
+  // identically to this decoded path. The head is encoded on the stack and
+  // a string's payload is hashed where it lies; nothing is materialized.
+  char head[internal::kMaxValueHeadBytes];
+  const uint64_t h = FnvBytes(
+      head, static_cast<size_t>(internal::PutValueHead(head, v) - head));
+  if (const auto* s = std::get_if<std::string>(&v)) {
+    return FnvBytes(s->data(), s->size(), h);
   }
   return h;
 }
@@ -80,32 +45,7 @@ uint64_t HashCombine(uint64_t seed, uint64_t h) {
 }
 
 void EncodeValue(const Value& v, serde::WireEncoder* enc) {
-  enc->WriteVarint(static_cast<uint64_t>(KindOf(v)));
-  switch (KindOf(v)) {
-    case ValueKind::kInt64:
-      enc->WriteVarint(serde::ZigZagEncode(std::get<int64_t>(v)));
-      break;
-    case ValueKind::kDouble: {
-      // Reuse the field writer's fixed64 layout without a tag.
-      uint64_t bits;
-      const double d = std::get<double>(v);
-      static_assert(sizeof(bits) == sizeof(d));
-      __builtin_memcpy(&bits, &d, sizeof(bits));
-      for (int i = 0; i < 8; ++i) {
-        enc->buffer()->push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
-      }
-      break;
-    }
-    case ValueKind::kBool:
-      enc->WriteVarint(std::get<bool>(v) ? 1 : 0);
-      break;
-    case ValueKind::kString: {
-      const std::string& s = std::get<std::string>(v);
-      enc->WriteVarint(s.size());
-      enc->buffer()->append(s);
-      break;
-    }
-  }
+  PutValue(enc->Extend(EncodedValueSize(v)), v);
 }
 
 Status DecodeValueInto(serde::WireDecoder* dec, Value* out) {
@@ -113,17 +53,17 @@ Status DecodeValueInto(serde::WireDecoder* dec, Value* out) {
   switch (static_cast<ValueKind>(kind_raw)) {
     case ValueKind::kInt64: {
       HERON_ASSIGN_OR_RETURN(uint64_t raw, dec->ReadVarint());
-      out->emplace<int64_t>(serde::ZigZagDecode(raw));
+      *out = serde::ZigZagDecode(raw);
       return Status::OK();
     }
     case ValueKind::kDouble: {
       HERON_ASSIGN_OR_RETURN(double d, dec->ReadDouble());
-      out->emplace<double>(d);
+      *out = d;
       return Status::OK();
     }
     case ValueKind::kBool: {
       HERON_ASSIGN_OR_RETURN(uint64_t raw, dec->ReadVarint());
-      out->emplace<bool>(raw != 0);
+      *out = raw != 0;
       return Status::OK();
     }
     case ValueKind::kString: {

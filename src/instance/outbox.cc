@@ -31,9 +31,7 @@ void Outbox::EmitTuple(const StreamId& stream,
   }
   PendingBatch& batch = it->second;
   serde::WireEncoder enc(&batch.buffer);
-  const size_t mark = enc.BeginLengthDelimited(tbf::kTuple);
-  msg.SerializeTo(&enc);
-  enc.EndLengthDelimited(mark);
+  msg.AppendAsField(tbf::kTuple, &enc);
   ++batch.count;
   if (msg.trace_id != 0) batch.trace_id = msg.trace_id;
   ++tuples_emitted_;

@@ -26,8 +26,25 @@ constexpr uint32_t kFieldInstCpuMilli = 4;
 constexpr uint32_t kFieldInstRamMb = 5;
 constexpr uint32_t kFieldInstDiskMb = 6;
 
+/// Largest CPU demand a plan may carry, in milli-cores (~1.1e12 cores). Up
+/// to it, MilliToCpu then CpuToMilli gives back the same milli exactly, so
+/// a decoded plan re-serializes to the demand it was read with; past 2^51
+/// the conversion starts rounding, and past the int64 range CpuToMilli's
+/// cast is undefined.
+constexpr int64_t kMaxCpuMilli = int64_t{1} << 50;
+
 int64_t CpuToMilli(double cpu) { return static_cast<int64_t>(cpu * 1000.0 + 0.5); }
 double MilliToCpu(int64_t milli) { return static_cast<double>(milli) / 1000.0; }
+
+/// Reads a CPU demand field; a negative or oversized one is corrupt.
+Result<double> ReadCpu(serde::WireDecoder* dec) {
+  HERON_ASSIGN_OR_RETURN(int64_t milli, dec->ReadInt64());
+  if (milli < 0 || milli > kMaxCpuMilli) {
+    return Status::IOError(StrFormat("cpu demand of %lld milli-cores",
+                                     static_cast<long long>(milli)));
+  }
+  return MilliToCpu(milli);
+}
 
 void SerializeInstance(const InstancePlan& inst, serde::WireEncoder* enc) {
   enc->WriteInt32Field(kFieldTaskId, inst.task_id);
@@ -58,8 +75,7 @@ Status ParseInstance(serde::BytesView bytes, InstancePlan* inst) {
         break;
       }
       case kFieldInstCpuMilli: {
-        HERON_ASSIGN_OR_RETURN(int64_t v, dec.ReadInt64());
-        inst->resources.cpu = MilliToCpu(v);
+        HERON_ASSIGN_OR_RETURN(inst->resources.cpu, ReadCpu(&dec));
         break;
       }
       case kFieldInstRamMb: {
@@ -79,10 +95,14 @@ Status ParseInstance(serde::BytesView bytes, InstancePlan* inst) {
 
 void SerializeContainer(const ContainerPlan& c, serde::WireEncoder* enc) {
   enc->WriteInt32Field(kFieldContainerId, c.id);
+  // Plans are written only to the State Manager: each nested instance is
+  // serialized into a scratch buffer, then written as one bytes field.
+  serde::Buffer scratch;
   for (const auto& inst : c.instances) {
-    const size_t mark = enc->BeginLengthDelimited(kFieldInstance);
-    SerializeInstance(inst, enc);
-    enc->EndLengthDelimited(mark);
+    scratch.clear();
+    serde::WireEncoder inner(&scratch);
+    SerializeInstance(inst, &inner);
+    enc->WriteBytesField(kFieldInstance, scratch);
   }
   enc->WriteInt64Field(kFieldCpuMilli, CpuToMilli(c.required.cpu));
   enc->WriteInt64Field(kFieldRamMb, c.required.ram_mb);
@@ -107,8 +127,7 @@ Status ParseContainer(serde::BytesView bytes, ContainerPlan* c) {
         break;
       }
       case kFieldCpuMilli: {
-        HERON_ASSIGN_OR_RETURN(int64_t v, dec.ReadInt64());
-        c->required.cpu = MilliToCpu(v);
+        HERON_ASSIGN_OR_RETURN(c->required.cpu, ReadCpu(&dec));
         break;
       }
       case kFieldRamMb: {
@@ -237,10 +256,12 @@ Status PackingPlan::Validate(bool require_dense_task_ids) const {
 
 void PackingPlan::SerializeTo(serde::WireEncoder* enc) const {
   enc->WriteStringField(kFieldTopologyName, topology_name_);
+  serde::Buffer scratch;
   for (const auto& c : containers_) {
-    const size_t mark = enc->BeginLengthDelimited(kFieldContainer);
-    SerializeContainer(c, enc);
-    enc->EndLengthDelimited(mark);
+    scratch.clear();
+    serde::WireEncoder inner(&scratch);
+    SerializeContainer(c, &inner);
+    enc->WriteBytesField(kFieldContainer, scratch);
   }
 }
 

@@ -40,25 +40,70 @@ constexpr uint32_t kTmTopology = 1;
 constexpr uint32_t kTmHost = 2;
 constexpr uint32_t kTmPort = 3;
 constexpr uint32_t kTmControllerPort = 4;
+
+// Size-first encoding: each message below computes its exact size, grows
+// the buffer once and writes through a cursor.
+using serde::BytesFieldSize;
+using serde::PutBytesFieldHead;
+using serde::PutVarintField;
+using serde::VarintFieldSize;
+
+/// Bytes of a values blob: varint count, then every value's encoding.
+size_t ValuesBlobSize(const api::Values& values) {
+  size_t size = serde::VarintSize(values.size());
+  for (const api::Value& v : values) size += api::EncodedValueSize(v);
+  return size;
+}
+
+/// Bytes of a tuple's encoding whose values blob takes `values_size`.
+size_t TupleSize(const TupleDataMsg& msg, size_t values_size) {
+  size_t size = VarintFieldSize(kTdKey, msg.tuple_key) +
+                VarintFieldSize(kTdEmitTime,
+                                serde::ZigZagEncode(msg.emit_time_nanos)) +
+                BytesFieldSize(kTdValues, values_size);
+  for (const api::TupleKey root : msg.roots) {
+    size += VarintFieldSize(kTdRoot, root);
+  }
+  if (msg.trace_id != 0) size += VarintFieldSize(kTdTraceId, msg.trace_id);
+  return size;
+}
+
+/// Writes a tuple's encoding at `out` (TupleSize bytes of room).
+char* PutTuple(char* out, const TupleDataMsg& msg, size_t values_size) {
+  out = PutVarintField(out, kTdKey, msg.tuple_key);
+  for (const api::TupleKey root : msg.roots) {
+    out = PutVarintField(out, kTdRoot, root);
+  }
+  out = PutVarintField(out, kTdEmitTime,
+                       serde::ZigZagEncode(msg.emit_time_nanos));
+  if (msg.trace_id != 0) {
+    // Before values (despite the higher number) so PeekTraceId never skips
+    // the payload blob. Omitted entirely for untraced tuples.
+    out = PutVarintField(out, kTdTraceId, msg.trace_id);
+  }
+  out = PutBytesFieldHead(out, kTdValues, values_size);
+  out = serde::PutVarint(out, msg.values.size());
+  for (const api::Value& v : msg.values) out = api::PutValue(out, v);
+  return out;
+}
+
 }  // namespace
 
 void TupleDataMsg::SerializeTo(serde::WireEncoder* enc) const {
-  enc->WriteUint64Field(kTdKey, tuple_key);
-  for (const api::TupleKey root : roots) {
-    enc->WriteUint64Field(kTdRoot, root);
-  }
-  enc->WriteInt64Field(kTdEmitTime, emit_time_nanos);
-  if (trace_id != 0) {
-    // Before values (despite the higher number) so PeekTraceId never skips
-    // the payload blob. Omitted entirely for untraced tuples.
-    enc->WriteUint64Field(kTdTraceId, trace_id);
-  }
-  const size_t mark = enc->BeginLengthDelimited(kTdValues);
-  enc->WriteVarint(values.size());
-  for (const auto& v : values) {
-    api::EncodeValue(v, enc);
-  }
-  enc->EndLengthDelimited(mark);
+  const size_t values_size = ValuesBlobSize(values);
+  PutTuple(enc->Extend(TupleSize(*this, values_size)), *this, values_size);
+}
+
+size_t TupleDataMsg::ByteSize() const {
+  return TupleSize(*this, ValuesBlobSize(values));
+}
+
+void TupleDataMsg::AppendAsField(uint32_t field,
+                                 serde::WireEncoder* enc) const {
+  const size_t values_size = ValuesBlobSize(values);
+  const size_t size = TupleSize(*this, values_size);
+  char* out = enc->Extend(BytesFieldSize(field, size));
+  PutTuple(PutBytesFieldHead(out, field, size), *this, values_size);
 }
 
 namespace {
@@ -259,12 +304,10 @@ bool OverwriteDestTaskInPlace(serde::Buffer* batch_bytes, TaskId new_dest) {
       auto old_val = dec.ReadVarint();
       if (!old_val.ok()) return false;
       const size_t old_width = dec.position() - value_pos;
-      // Encode the replacement and compare widths.
-      serde::Buffer scratch;
-      serde::WireEncoder enc(&scratch);
-      enc.WriteVarint(serde::ZigZagEncode(new_dest));
-      if (scratch.size() != old_width) return false;
-      batch_bytes->replace(value_pos, old_width, scratch);
+      // Same width only: the tuples after the field never move.
+      const uint64_t encoded = serde::ZigZagEncode(new_dest);
+      if (serde::VarintSize(encoded) != old_width) return false;
+      serde::PutVarint(batch_bytes->data() + value_pos, encoded);
       return true;
     }
     if (!dec.SkipField(serde::TagWireType(*tag)).ok()) return false;
@@ -272,14 +315,28 @@ bool OverwriteDestTaskInPlace(serde::Buffer* batch_bytes, TaskId new_dest) {
   return false;
 }
 
+namespace {
+
+size_t AckUpdateSize(const AckUpdate& u) {
+  return VarintFieldSize(kAuRoot, u.root) +
+         VarintFieldSize(kAuXor, u.xor_value) +
+         VarintFieldSize(kAuFail, u.fail ? 1 : 0);
+}
+
+}  // namespace
+
 void AckBatchMsg::SerializeTo(serde::WireEncoder* enc) const {
-  enc->WriteInt32Field(kAbDestTask, dest_task);
-  for (const auto& u : updates) {
-    const size_t mark = enc->BeginLengthDelimited(kAbUpdate);
-    enc->WriteUint64Field(kAuRoot, u.root);
-    enc->WriteUint64Field(kAuXor, u.xor_value);
-    enc->WriteBoolField(kAuFail, u.fail);
-    enc->EndLengthDelimited(mark);
+  const uint64_t dest = serde::ZigZagEncode(dest_task);
+  size_t size = VarintFieldSize(kAbDestTask, dest);
+  for (const AckUpdate& u : updates) {
+    size += BytesFieldSize(kAbUpdate, AckUpdateSize(u));
+  }
+  char* out = PutVarintField(enc->Extend(size), kAbDestTask, dest);
+  for (const AckUpdate& u : updates) {
+    out = PutBytesFieldHead(out, kAbUpdate, AckUpdateSize(u));
+    out = PutVarintField(out, kAuRoot, u.root);
+    out = PutVarintField(out, kAuXor, u.xor_value);
+    out = PutVarintField(out, kAuFail, u.fail ? 1 : 0);
   }
 }
 

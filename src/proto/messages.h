@@ -73,9 +73,19 @@ class TupleDataMsg final : public serde::Message {
   uint64_t trace_id = 0;
   api::Values values;
 
+  /// Size-first: computes the exact encoding size, grows the buffer once
+  /// and writes every field through a cursor.
   void SerializeTo(serde::WireEncoder* enc) const override;
   Status ParseFrom(serde::WireDecoder* dec) override;
   void Clear() override;
+
+  /// Exact number of bytes SerializeTo appends.
+  size_t ByteSize() const;
+
+  /// Appends this tuple as length-delimited field `field` of an enclosing
+  /// message — tag, exact length prefix, then SerializeTo's bytes — with
+  /// one buffer growth. The outbox stages every emitted tuple this way.
+  void AppendAsField(uint32_t field, serde::WireEncoder* enc) const;
 
   /// Fills from / copies into the user-facing Tuple representation.
   void FromTuple(const api::Tuple& tuple);

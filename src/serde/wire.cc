@@ -5,22 +5,14 @@
 namespace heron {
 namespace serde {
 
-void WireEncoder::WriteVarint(uint64_t value) {
-  while (value >= 0x80) {
-    out_->push_back(static_cast<char>((value & 0x7F) | 0x80));
-    value >>= 7;
-  }
-  out_->push_back(static_cast<char>(value));
-}
-
 void WireEncoder::WriteUint64Field(uint32_t field, uint64_t value) {
-  WriteTag(field, WireType::kVarint);
-  WriteVarint(value);
+  char bytes[2 * kMaxVarintBytes];
+  out_->append(bytes,
+               static_cast<size_t>(PutVarintField(bytes, field, value) - bytes));
 }
 
 void WireEncoder::WriteInt64Field(uint32_t field, int64_t value) {
-  WriteTag(field, WireType::kVarint);
-  WriteVarint(ZigZagEncode(value));
+  WriteUint64Field(field, ZigZagEncode(value));
 }
 
 void WireEncoder::WriteInt32Field(uint32_t field, int32_t value) {
@@ -28,54 +20,28 @@ void WireEncoder::WriteInt32Field(uint32_t field, int32_t value) {
 }
 
 void WireEncoder::WriteBoolField(uint32_t field, bool value) {
-  WriteTag(field, WireType::kVarint);
-  WriteVarint(value ? 1 : 0);
+  WriteUint64Field(field, value ? 1 : 0);
 }
 
 void WireEncoder::WriteDoubleField(uint32_t field, double value) {
-  WriteTag(field, WireType::kFixed64);
   uint64_t bits;
   std::memcpy(&bits, &value, sizeof(bits));
+  char bytes[kMaxVarintBytes + sizeof(bits)];
+  char* end = PutVarint(bytes, MakeTag(field, WireType::kFixed64));
   for (int i = 0; i < 8; ++i) {
-    out_->push_back(static_cast<char>((bits >> (8 * i)) & 0xFF));
+    *end++ = static_cast<char>((bits >> (8 * i)) & 0xFF);
   }
+  out_->append(bytes, static_cast<size_t>(end - bytes));
 }
 
 void WireEncoder::WriteBytesField(uint32_t field, BytesView value) {
-  WriteTag(field, WireType::kLengthDelimited);
-  WriteVarint(value.size());
+  char head[2 * kMaxVarintBytes];
+  out_->append(head, static_cast<size_t>(
+                         PutBytesFieldHead(head, field, value.size()) - head));
   out_->append(value.data(), value.size());
 }
 
-size_t WireEncoder::BeginLengthDelimited(uint32_t field) {
-  WriteTag(field, WireType::kLengthDelimited);
-  // Reserve one byte for the common case of payloads < 128 bytes; the
-  // payload is shifted right when the final varint is longer.
-  out_->push_back('\0');
-  return out_->size();
-}
-
-void WireEncoder::EndLengthDelimited(size_t mark) {
-  const size_t payload_len = out_->size() - mark;
-  // Encode the length varint into a scratch array.
-  char scratch[10];
-  size_t n = 0;
-  uint64_t v = payload_len;
-  while (v >= 0x80) {
-    scratch[n++] = static_cast<char>((v & 0x7F) | 0x80);
-    v >>= 7;
-  }
-  scratch[n++] = static_cast<char>(v);
-  if (n == 1) {
-    (*out_)[mark - 1] = scratch[0];
-    return;
-  }
-  // Rare path: shift the payload to make room for the longer varint.
-  out_->insert(mark, n - 1, '\0');
-  std::memcpy(out_->data() + mark - 1, scratch, n);
-}
-
-Result<uint64_t> WireDecoder::ReadVarint() {
+Result<uint64_t> WireDecoder::ReadVarintSlow() {
   uint64_t value = 0;
   int shift = 0;
   while (pos_ < data_.size()) {
@@ -90,21 +56,11 @@ Result<uint64_t> WireDecoder::ReadVarint() {
   return Truncated();
 }
 
-Result<uint32_t> WireDecoder::ReadTag() {
-  if (AtEnd()) return static_cast<uint32_t>(0);
-  HERON_ASSIGN_OR_RETURN(uint64_t tag, ReadVarint());
-  if (tag == 0 || tag > UINT32_MAX) {
-    return Status::IOError("invalid wire tag");
-  }
-  return static_cast<uint32_t>(tag);
+Status WireDecoder::Truncated() {
+  return Status::IOError("wire decode past end of buffer");
 }
 
-Result<uint64_t> WireDecoder::ReadUint64() { return ReadVarint(); }
-
-Result<int64_t> WireDecoder::ReadInt64() {
-  HERON_ASSIGN_OR_RETURN(uint64_t raw, ReadVarint());
-  return ZigZagDecode(raw);
-}
+Status WireDecoder::InvalidTag() { return Status::IOError("invalid wire tag"); }
 
 Result<int32_t> WireDecoder::ReadInt32() {
   HERON_ASSIGN_OR_RETURN(int64_t v, ReadInt64());
@@ -130,16 +86,6 @@ Result<double> WireDecoder::ReadDouble() {
   double value;
   std::memcpy(&value, &bits, sizeof(value));
   return value;
-}
-
-Result<BytesView> WireDecoder::ReadBytes() {
-  HERON_ASSIGN_OR_RETURN(uint64_t len, ReadVarint());
-  // Compare against the bytes left: `pos_ + len` wraps for a length near
-  // 2^64 and would move the read position backwards.
-  if (len > data_.size() - pos_) return Truncated();
-  BytesView view = data_.substr(pos_, len);
-  pos_ += len;
-  return view;
 }
 
 Status WireDecoder::SkipField(WireType type) {

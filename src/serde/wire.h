@@ -1,6 +1,7 @@
 #ifndef HERON_SERDE_WIRE_H_
 #define HERON_SERDE_WIRE_H_
 
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -43,16 +44,66 @@ constexpr int64_t ZigZagDecode(uint64_t v) {
   return static_cast<int64_t>((v >> 1) ^ (~(v & 1) + 1));
 }
 
+/// Longest varint: ceil(64 / 7) bytes.
+inline constexpr size_t kMaxVarintBytes = 10;
+
+/// Bytes the varint encoding of `value` takes (1 to 10): one per started
+/// group of 7 significant bits.
+constexpr size_t VarintSize(uint64_t value) {
+  return static_cast<size_t>((std::bit_width(value | 1) * 9 + 64) / 64);
+}
+
+/// Writes the varint encoding of `value` at `out`, which must have
+/// VarintSize(value) bytes of room; returns the byte past it.
+inline char* PutVarint(char* out, uint64_t value) {
+  while (value >= 0x80) {
+    *out++ = static_cast<char>(value | 0x80);
+    value >>= 7;
+  }
+  *out++ = static_cast<char>(value);
+  return out;
+}
+
+/// Bytes of a varint field: tag, then the value.
+constexpr size_t VarintFieldSize(uint32_t field, uint64_t value) {
+  return VarintSize(MakeTag(field, WireType::kVarint)) + VarintSize(value);
+}
+
+/// Bytes of a length-delimited field with a `len`-byte payload.
+constexpr size_t BytesFieldSize(uint32_t field, size_t len) {
+  return VarintSize(MakeTag(field, WireType::kLengthDelimited)) +
+         VarintSize(len) + len;
+}
+
+/// Writes a varint field, tag then value, at `out` (VarintFieldSize bytes
+/// of room); returns the byte past it.
+inline char* PutVarintField(char* out, uint32_t field, uint64_t value) {
+  return PutVarint(PutVarint(out, MakeTag(field, WireType::kVarint)), value);
+}
+
+/// Writes the tag and length prefix of a length-delimited field at `out`;
+/// the caller writes the `len` payload bytes after them.
+inline char* PutBytesFieldHead(char* out, uint32_t field, size_t len) {
+  return PutVarint(PutVarint(out, MakeTag(field, WireType::kLengthDelimited)),
+                   len);
+}
+
 /// \brief Appends protobuf-encoded fields to a Buffer.
 ///
 /// The encoder never owns its buffer: the Stream Manager hands it pooled
 /// buffers so that steady-state serialization performs no heap allocation
-/// (§V-A optimization 1).
+/// (§V-A optimization 1). Nested messages are encoded size-first: a
+/// message computes its exact byte size, grows the buffer once with
+/// Extend and writes the tag, the final length prefix and the body
+/// through a cursor, so no payload is ever moved after it is written.
 class WireEncoder {
  public:
   explicit WireEncoder(Buffer* out) : out_(out) {}
 
-  void WriteVarint(uint64_t value);
+  void WriteVarint(uint64_t value) {
+    char bytes[kMaxVarintBytes];
+    out_->append(bytes, static_cast<size_t>(PutVarint(bytes, value) - bytes));
+  }
   void WriteTag(uint32_t field_number, WireType type) {
     WriteVarint(MakeTag(field_number, type));
   }
@@ -63,17 +114,22 @@ class WireEncoder {
   void WriteInt32Field(uint32_t field, int32_t value);  // ZigZag.
   void WriteBoolField(uint32_t field, bool value);
   void WriteDoubleField(uint32_t field, double value);  // Fixed64.
+  /// Tag and length prefix in one append, then the payload. A nested
+  /// message without a size-first writer of its own is serialized into a
+  /// scratch buffer and written through here.
   void WriteBytesField(uint32_t field, BytesView value);
   void WriteStringField(uint32_t field, std::string_view value) {
     WriteBytesField(field, value);
   }
 
-  /// Nested messages are written via a length-prefixed scope: call
-  /// BeginLengthDelimited, write the nested fields, then EndLengthDelimited
-  /// with the returned mark. The length prefix is patched in place (moving
-  /// the payload when the varint needs more than one reserved byte).
-  size_t BeginLengthDelimited(uint32_t field);
-  void EndLengthDelimited(size_t mark);
+  /// Grows the buffer by `n` bytes and returns a pointer to the first of
+  /// them, for the caller to fill. The pointer is valid until the buffer
+  /// next changes size.
+  char* Extend(size_t n) {
+    const size_t old_size = out_->size();
+    out_->resize(old_size + n);
+    return out_->data() + old_size;
+  }
 
   size_t size() const { return out_->size(); }
   Buffer* buffer() { return out_; }
@@ -144,6 +200,14 @@ Result<size_t> PeekFrameSize(BytesView data);
 /// Decoding errors (truncation, wire-type mismatches) surface as Status —
 /// a malformed message from a remote Stream Manager must never crash the
 /// process.
+///
+/// Varint reads are inline. A single-byte varint returns at once; with at
+/// least kMaxVarintBytes left, a varint is decoded by a bounded loop with
+/// no per-byte bounds check; closer to the end, and for a varint that runs
+/// past 10 bytes, the out-of-line byte loop decides. Both paths accept the
+/// same inputs and stop at the same position: the tenth byte's bits above
+/// bit 63 are dropped, an eleventh byte is "varint too long", and running
+/// out of input is truncation.
 class WireDecoder {
  public:
   explicit WireDecoder(BytesView data) : data_(data), pos_(0) {}
@@ -151,26 +215,66 @@ class WireDecoder {
   bool AtEnd() const { return pos_ >= data_.size(); }
   size_t position() const { return pos_; }
 
-  Result<uint64_t> ReadVarint();
-  /// Reads the next tag; returns 0 at end of input.
-  Result<uint32_t> ReadTag();
+  Result<uint64_t> ReadVarint() {
+    if (pos_ < data_.size()) {
+      const auto* p = reinterpret_cast<const uint8_t*>(data_.data()) + pos_;
+      uint64_t value = p[0];
+      if (value < 0x80) {
+        ++pos_;
+        return value;
+      }
+      if (data_.size() - pos_ >= kMaxVarintBytes) {
+        value &= 0x7F;
+        for (size_t i = 1; i < kMaxVarintBytes; ++i) {
+          const uint64_t byte = p[i];
+          value |= (byte & 0x7F) << (7 * i);
+          if (byte < 0x80) {
+            pos_ += i + 1;
+            return value;
+          }
+        }
+      }
+    }
+    return ReadVarintSlow();
+  }
 
-  Result<uint64_t> ReadUint64();
-  Result<int64_t> ReadInt64();  // ZigZag.
+  /// Reads the next tag; returns 0 at end of input.
+  Result<uint32_t> ReadTag() {
+    if (AtEnd()) return static_cast<uint32_t>(0);
+    HERON_ASSIGN_OR_RETURN(uint64_t tag, ReadVarint());
+    if (tag == 0 || tag > UINT32_MAX) return InvalidTag();
+    return static_cast<uint32_t>(tag);
+  }
+
+  Result<uint64_t> ReadUint64() { return ReadVarint(); }
+  Result<int64_t> ReadInt64() {  // ZigZag.
+    HERON_ASSIGN_OR_RETURN(uint64_t raw, ReadVarint());
+    return ZigZagDecode(raw);
+  }
   Result<int32_t> ReadInt32();  // ZigZag.
   Result<bool> ReadBool();
   Result<double> ReadDouble();
   /// Returns a view into the underlying buffer (no copy).
-  Result<BytesView> ReadBytes();
+  Result<BytesView> ReadBytes() {
+    HERON_ASSIGN_OR_RETURN(uint64_t len, ReadVarint());
+    // Compare against the bytes left: `pos_ + len` wraps for a length near
+    // 2^64 and would move the read position backwards.
+    if (len > data_.size() - pos_) return Truncated();
+    const BytesView view(data_.data() + pos_, len);
+    pos_ += len;
+    return view;
+  }
 
   /// Skips a field of the given wire type; used by lazy/partial parsing to
   /// hop over everything except the fields of interest (§V-A optimization 2).
   Status SkipField(WireType type);
 
  private:
-  Status Truncated() const {
-    return Status::IOError("wire decode past end of buffer");
-  }
+  /// The byte-at-a-time varint loop: inputs within kMaxVarintBytes of the
+  /// end, and varints the inline path could not finish.
+  Result<uint64_t> ReadVarintSlow();
+  static Status Truncated();
+  static Status InvalidTag();
 
   BytesView data_;
   size_t pos_;

@@ -316,6 +316,12 @@ TEST_F(InstanceTest, ReusedInputTupleCarriesExactlyEachReceivedTuple) {
   // Malformed: key, three roots and a first value decode before the
   // second value's kind is rejected (field numbers as documented on
   // TupleDataMsg). None of it may reach the bolt or the next tuple.
+  serde::Buffer values;
+  serde::WireEncoder values_enc(&values);
+  values_enc.WriteVarint(3);
+  api::EncodeValue(std::string("poison"), &values_enc);
+  values_enc.WriteVarint(9);  // No such value kind.
+  values_enc.WriteVarint(0);
   serde::Buffer bad;
   serde::WireEncoder enc(&bad);
   enc.WriteUint64Field(1, 0xBAD);
@@ -323,12 +329,7 @@ TEST_F(InstanceTest, ReusedInputTupleCarriesExactlyEachReceivedTuple) {
     enc.WriteUint64Field(2, proto::MakeRootKey(0, r));
   }
   enc.WriteInt64Field(3, 9999);
-  const size_t mark = enc.BeginLengthDelimited(4);
-  enc.WriteVarint(3);
-  api::EncodeValue(std::string("poison"), &enc);
-  enc.WriteVarint(9);  // No such value kind.
-  enc.WriteVarint(0);
-  enc.EndLengthDelimited(mark);
+  enc.WriteBytesField(4, values);
 
   proto::TupleBatchMsg batch;
   batch.src_task = 0;

@@ -15,6 +15,7 @@
 #include "packing/placement_cost.h"
 #include "packing/resource_compliant_rr_packing.h"
 #include "packing/round_robin_packing.h"
+#include "tests/common/fuzz.h"
 #include "workloads/word_count.h"
 
 namespace heron {
@@ -94,6 +95,33 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(info.param.spouts) + "x" +
              std::to_string(info.param.bolts);
     });
+
+TEST(PackingPlanFuzzTest, DecoderSurvivesMutations) {
+  // Plans round-trip through the State Manager, so their decoder reads
+  // bytes from disk. A mutated CPU demand that could not re-serialize to
+  // itself must be rejected at decode, not flip on the next write.
+  fuzz::ExpectDecoderSurvivesMutations<PackingPlan>(0x9A4C, [](Random* rng) {
+    std::vector<ContainerPlan> containers(1 + rng->NextBelow(3));
+    TaskId task = 0;
+    for (size_t c = 0; c < containers.size(); ++c) {
+      containers[c].id = static_cast<ContainerId>(c);
+      const size_t instances = 1 + rng->NextBelow(4);
+      for (size_t k = 0; k < instances; ++k) {
+        InstancePlan inst;
+        inst.task_id = task++;
+        inst.component = k % 2 == 0 ? "word" : "count";
+        inst.component_index = static_cast<int>(k);
+        const double cpu = static_cast<double>(rng->NextBelow(4000)) / 1000.0;
+        const auto ram = static_cast<int64_t>(rng->NextBelow(4096));
+        inst.resources = Resource(cpu, ram, 0);
+        containers[c].instances.push_back(std::move(inst));
+      }
+      containers[c].required =
+          containers[c].InstanceTotal() + ContainerOverhead();
+    }
+    return PackingPlan("fuzz", std::move(containers)).SerializeAsBuffer();
+  });
+}
 
 // ---------------------------------------------------------------------
 // Policy-specific behaviour.

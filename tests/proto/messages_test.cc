@@ -4,6 +4,7 @@
 
 #include "api/grouping.h"
 #include "common/random.h"
+#include "tests/common/fuzz.h"
 
 namespace heron {
 namespace proto {
@@ -251,30 +252,7 @@ serde::Buffer RootEventSeed(Random* rng) {
   return msg.SerializeAsBuffer();
 }
 
-serde::Buffer Mutate(serde::Buffer bytes, Random* rng) {
-  switch (rng->NextBelow(3)) {
-    case 0:  // Truncation.
-      bytes.resize(rng->NextBelow(bytes.size() + 1));
-      break;
-    case 1: {  // Bit flips.
-      const size_t flips = 1 + rng->NextBelow(4);
-      for (size_t i = 0; i < flips && !bytes.empty(); ++i) {
-        bytes[rng->NextBelow(bytes.size())] ^=
-            static_cast<char>(1u << rng->NextBelow(8));
-      }
-      break;
-    }
-    default: {  // Overlong varint: continuation bytes past the 10-byte cap,
-                // or a non-canonical encoding, spliced in anywhere.
-      serde::Buffer varint(1 + rng->NextBelow(14),
-                           rng->NextBool() ? '\xFF' : '\x80');
-      if (rng->NextBool(0.7)) varint.push_back(rng->NextBool() ? 1 : 0);
-      bytes.insert(rng->NextBelow(bytes.size() + 1), varint);
-      break;
-    }
-  }
-  return bytes;
-}
+using fuzz::Mutate;
 
 TEST(MessagesFuzzTest, AckBatchDecoderSurvivesMutations) {
   Random rng(0xAC0B);
@@ -489,20 +467,59 @@ TEST(MessagesFuzzTest, InPlaceDecodeMatchesFreshDecode) {
 TEST(MessagesFuzzTest, ValueCountPastTheBlobIsRejected) {
   // A values blob of three value bytes claiming 2^40 values must fail
   // as corrupt, not size a vector by the claim (which throws bad_alloc).
+  serde::Buffer blob;
+  serde::WireEncoder blob_enc(&blob);
+  blob_enc.WriteVarint(uint64_t{1} << 40);
+  api::EncodeValue(int64_t{5}, &blob_enc);
+  blob_enc.WriteVarint(0);
   serde::Buffer bytes;
   serde::WireEncoder enc(&bytes);
   enc.WriteUint64Field(1, 42);  // tuple_key
-  const size_t mark = enc.BeginLengthDelimited(4);  // values
-  enc.WriteVarint(uint64_t{1} << 40);
-  api::EncodeValue(int64_t{5}, &enc);
-  enc.WriteVarint(0);
-  enc.EndLengthDelimited(mark);
+  enc.WriteBytesField(4, blob);  // values
 
   TupleDataMsg msg;
   EXPECT_TRUE(msg.ParseFromBytes(bytes).IsIOError());
   api::Tuple tuple;
   uint64_t trace_id = 0;
   EXPECT_TRUE(DecodeTupleInto(bytes, &tuple, &trace_id).IsIOError());
+}
+
+// -- Control-plane decoder fuzzing -----------------------------------------
+//
+// The same mutations over the remaining payload decoders: back-pressure
+// control, checkpoint barriers and the TMaster location advertisement.
+
+TEST(MessagesFuzzTest, BackpressureDecoderSurvivesMutations) {
+  fuzz::ExpectDecoderSurvivesMutations<BackpressureMsg>(
+      0xB9E5, [](Random* rng) {
+        BackpressureMsg msg;
+        msg.initiator = static_cast<ContainerId>(rng->NextBelow(1 << 12));
+        msg.retry_depth = rng->NextUint64() >> rng->NextBelow(64);
+        return msg.SerializeAsBuffer();
+      });
+}
+
+TEST(MessagesFuzzTest, CheckpointBarrierDecoderSurvivesMutations) {
+  fuzz::ExpectDecoderSurvivesMutations<CheckpointBarrierMsg>(
+      0xC4B7, [](Random* rng) {
+        CheckpointBarrierMsg msg;
+        msg.ckpt_id = rng->NextUint64() >> rng->NextBelow(64);
+        msg.origin_task = static_cast<TaskId>(rng->NextBelow(1 << 16)) - 1;
+        msg.kind = static_cast<uint8_t>(rng->NextBelow(3));
+        return msg.SerializeAsBuffer();
+      });
+}
+
+TEST(MessagesFuzzTest, TMasterLocationDecoderSurvivesMutations) {
+  fuzz::ExpectDecoderSurvivesMutations<TMasterLocationMsg>(
+      0x7A57, [](Random* rng) {
+        TMasterLocationMsg msg;
+        msg.topology = std::string(rng->NextBelow(40), 'w');
+        msg.host = "host-" + std::to_string(rng->NextBelow(1000));
+        msg.port = static_cast<int32_t>(rng->NextBelow(65536));
+        msg.controller_port = static_cast<int32_t>(rng->NextBelow(65536));
+        return msg.SerializeAsBuffer();
+      });
 }
 
 TEST(MessagesTest, TMasterLocationRoundTrip) {
@@ -543,9 +560,7 @@ TEST(MessagesTest, ParseFromOverwritesEveryField) {
   msg.trace_id = 99;
   serde::Buffer bytes;
   serde::WireEncoder enc(&bytes);
-  const size_t mark = enc.BeginLengthDelimited(4);  // values
-  enc.WriteVarint(0);
-  enc.EndLengthDelimited(mark);
+  enc.WriteBytesField(4, serde::BytesView("\0", 1));  // values: count 0
   serde::WireDecoder dec(bytes);
   ASSERT_TRUE(msg.ParseFrom(&dec).ok());
   EXPECT_EQ(msg.tuple_key, 0u);

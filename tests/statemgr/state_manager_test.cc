@@ -202,6 +202,50 @@ TEST_P(StateManagerTest, PackingPlanStoredAndLoaded) {
   EXPECT_EQ(*loaded, *plan);
 }
 
+TEST_P(StateManagerTest, CorruptPackingPlanCpuIsRejected) {
+  // A stored plan (on disk for LOCAL_FILE) whose CPU demand is negative or
+  // past 2^50 milli-cores fails to load, in the container and the instance
+  // field alike: it could not re-serialize to the same demand, and near
+  // the int64 range re-serializing it would be undefined. Demands in range
+  // load, re-store and re-load unchanged.
+  constexpr int64_t kMaxMilli = int64_t{1} << 50;
+  ASSERT_TRUE(RegisterTopology(sm_.get(), "wc").ok());
+  for (const bool in_instance : {false, true}) {
+    for (const int64_t milli :
+         {int64_t{-1}, kMaxMilli + 1, INT64_MAX, INT64_MIN, int64_t{0},
+          int64_t{1500}, kMaxMilli}) {
+      serde::Buffer instance;
+      serde::WireEncoder instance_enc(&instance);
+      instance_enc.WriteInt32Field(1, 0);  // task_id
+      instance_enc.WriteStringField(2, "word");
+      instance_enc.WriteInt32Field(3, 0);  // component_index
+      instance_enc.WriteInt64Field(4, in_instance ? milli : 500);
+      serde::Buffer container;
+      serde::WireEncoder container_enc(&container);
+      container_enc.WriteInt32Field(1, 0);  // id
+      container_enc.WriteBytesField(2, instance);
+      container_enc.WriteInt64Field(3, in_instance ? 2000 : milli);
+      serde::Buffer bytes;
+      serde::WireEncoder enc(&bytes);
+      enc.WriteStringField(1, "wc");
+      enc.WriteBytesField(2, container);
+      ASSERT_TRUE(EnsurePath(sm_.get(), paths::PackingPlan("wc"), bytes).ok());
+
+      auto loaded = GetPackingPlan(*sm_, "wc");
+      if (milli < 0 || milli > kMaxMilli) {
+        EXPECT_TRUE(loaded.status().IsIOError())
+            << milli << " in_instance=" << in_instance;
+        continue;
+      }
+      ASSERT_TRUE(loaded.ok()) << milli;
+      ASSERT_TRUE(SetPackingPlan(sm_.get(), *loaded).ok());
+      auto reloaded = GetPackingPlan(*sm_, "wc");
+      ASSERT_TRUE(reloaded.ok());
+      EXPECT_EQ(*reloaded, *loaded) << milli;
+    }
+  }
+}
+
 TEST_P(StateManagerTest, TMasterLocationAdvertisement) {
   ASSERT_TRUE(RegisterTopology(sm_.get(), "wc").ok());
   auto session = sm_->OpenSession();
