@@ -26,7 +26,7 @@
 #   scripts/san_lane.sh thread build-tsan -- -R smgr
 #   scripts/san_lane.sh thread --transport socket  # wire fabric under TSan
 #   scripts/san_lane.sh thread --execution cooperative -- \
-#       -R "event_loop|step_mode|comparison"       # tasklet pool under TSan
+#       -R "event_loop|step_mode|local_cluster"    # tasklet pool under TSan
 #
 # --transport exports HERON_TRANSPORT_MODE so every LocalCluster in the
 # suite rides the chosen ipc::Fabric — the pump thread, writev spill and
@@ -35,6 +35,10 @@
 # way: `cooperative` puts every instance and SMGR loop on the tasklet
 # pool, so the worker drive loop, wakeup chaining and the Retire fence
 # run under the sanitizer.
+#
+# Every `|`-separated alternative of a -R filter must select at least one
+# test, and the run must select some: a filter naming a deleted test
+# exits 2 instead of leaving the lane green.
 
 set -euo pipefail
 
@@ -134,4 +138,19 @@ case "${SAN}" in
     ;;
 esac
 
-exec ctest --test-dir "${BUILD_DIR}" --output-on-failure "$@"
+# ctest exits 0 when -R matches nothing, so check each alternative alone.
+ARGS=("$@")
+for ((i = 0; i < ${#ARGS[@]}; i++)); do
+  if [[ "${ARGS[i]}" == "-R" || "${ARGS[i]}" == "--tests-regex" ]]; then
+    IFS='|' read -r -a TOKENS <<< "${ARGS[i + 1]:-}"
+    for token in "${TOKENS[@]}"; do
+      LISTING="$(ctest --test-dir "${BUILD_DIR}" -N -R "${token}")"
+      if [[ "${LISTING}" == *"Total Tests: 0"* ]]; then
+        echo "ctest filter alternative '${token}' matches no test" >&2
+        exit 2
+      fi
+    done
+  fi
+done
+
+exec ctest --test-dir "${BUILD_DIR}" --no-tests=error --output-on-failure "$@"

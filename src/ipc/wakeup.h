@@ -69,13 +69,11 @@ class Wakeup {
   }
 
   /// Declares the calling thread the latch's consumer, enabling the
-  /// same-thread notify elision above. Call from the consumer thread; a
-  /// default-constructed id (never equal to a live thread) disables it.
+  /// same-thread notify elision above. Call from the consumer thread;
+  /// until then the owner is a default-constructed id (never equal to a
+  /// live thread), so the elision is off.
   void SetOwnerThread() {
     owner_.store(std::this_thread::get_id(), std::memory_order_relaxed);
-  }
-  void ClearOwnerThread() {
-    owner_.store(std::thread::id(), std::memory_order_relaxed);
   }
 
   /// Blocks until notified or `timeout_nanos` elapse. Returns true when a

@@ -212,13 +212,6 @@ void TupleDataMsg::Clear() {
   values.clear();
 }
 
-void TupleDataMsg::FromTuple(const api::Tuple& tuple) {
-  tuple_key = tuple.tuple_key();
-  roots = tuple.roots();
-  emit_time_nanos = tuple.emit_time_nanos();
-  values = tuple.values();
-}
-
 void TupleDataMsg::ToTuple(ComponentId source_component, StreamId stream,
                            TaskId source_task, api::Tuple* out) const {
   *out = api::Tuple(std::move(source_component), std::move(stream),

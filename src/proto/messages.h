@@ -87,8 +87,7 @@ class TupleDataMsg final : public serde::Message {
   /// one buffer growth. The outbox stages every emitted tuple this way.
   void AppendAsField(uint32_t field, serde::WireEncoder* enc) const;
 
-  /// Fills from / copies into the user-facing Tuple representation.
-  void FromTuple(const api::Tuple& tuple);
+  /// Copies into the user-facing Tuple representation.
   void ToTuple(ComponentId source_component, StreamId stream,
                TaskId source_task, api::Tuple* out) const;
 };

@@ -57,7 +57,7 @@ namespace runtime {
 /// cache drains, outbox flushes). `Start()`/`Join()` wrap Run in an owned
 /// thread. Registration calls (AddChannel/AddTimer/...) must come from
 /// the loop thread itself (i.e. inside callbacks) or before the loop
-/// starts; `Stop()` and `Nudge()` are safe from any thread.
+/// starts; `Stop()` is safe from any thread.
 ///
 /// ## Instrumentation
 /// When `Options::registry` is set, the loop maintains uniformly-named
@@ -191,9 +191,6 @@ class EventLoop {
   /// Runs the shutdown hooks now if the loop has started but not yet shut
   /// down; step-mode teardown calls this in place of Run()'s exit path.
   void Shutdown();
-
-  /// Wakes a parked loop from any thread.
-  void Nudge() { wakeup_.Notify(); }
 
   // -- Cooperative driving (runtime::TaskletPool) --------------------------
   //

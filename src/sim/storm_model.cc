@@ -257,8 +257,8 @@ SimResult StormSim::Run() {
         std::make_unique<SimServer>(&des_, costs_.oversubscription));
   }
 
-  // Task → executor assignment, spouts first (mirrors the threaded
-  // StormCluster).
+  // Task → executor assignment, spouts first: consecutive task ids share
+  // an executor, `tasks_per_executor` at a time.
   spout_state_.resize(static_cast<size_t>(config_.spouts));
   int task = 0;
   for (int s = 0; s < config_.spouts; ++s, ++task) {

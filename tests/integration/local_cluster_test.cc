@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+
 #include "common/logging.h"
 #include "workloads/word_count.h"
 
@@ -60,6 +62,64 @@ TEST_F(LocalClusterTest, WordCountWithAcksCompletesTupleTrees) {
   EXPECT_EQ(cluster.SumCounter("instance.failed"), 0u);
   // End-to-end latency was measured for completed trees.
   EXPECT_GT(cluster.CompleteLatencyQuantile(0.5), 0u);
+  ASSERT_TRUE(cluster.Kill().ok());
+}
+
+TEST_F(LocalClusterTest, FiniteStreamAcksEveryTree) {
+  // A finite stream under light, bounded load: every emitted tracked
+  // tuple is eventually acked, never failed.
+  workloads::WordSpout::Options spout_options;
+  spout_options.dictionary_size = 100;
+  spout_options.emit_limit = 2000;  // Finite stream per spout.
+
+  Config config = BaseConfig();
+  config.SetBool(config_keys::kAckingEnabled, true);
+  config.SetInt(config_keys::kMaxSpoutPending, 500);
+  auto topology = workloads::BuildWordCountTopology(
+      "wc-finite", 1, 2, spout_options, config);
+  ASSERT_TRUE(topology.ok()) << topology.status().ToString();
+  LocalCluster cluster(config);
+  ASSERT_TRUE(cluster.Submit(*topology).ok());
+  const Status wait = cluster.WaitForCounter("instance.acked", 2000, 60000);
+  if (!wait.ok()) {
+    // Dump the cluster state so a hung run (e.g. under a sanitizer's
+    // scheduler) is diagnosable from the ctest log alone.
+    for (const char* counter :
+         {"instance.emitted", "instance.acked", "instance.failed",
+          "instance.executed"}) {
+      fprintf(stderr, "DIAG %-24s = %llu\n", counter,
+              static_cast<unsigned long long>(cluster.SumCounter(counter)));
+    }
+    for (const char* counter :
+         {"smgr.acks.applied", "smgr.roots.completed", "smgr.roots.failed",
+          "smgr.roots.timeout", "smgr.tuples.routed", "smgr.batches.out"}) {
+      fprintf(stderr, "DIAG %-24s = %llu\n", counter,
+              static_cast<unsigned long long>(cluster.SumSmgrCounter(counter)));
+    }
+    for (const char* gauge : {"smgr.retry.depth", "smgr.backpressure.active",
+                              "smgr.backpressure.remote"}) {
+      fprintf(stderr, "DIAG %-24s = %lld\n", gauge,
+              static_cast<long long>(cluster.SumSmgrGauge(gauge)));
+    }
+    // The flight recorder is the "what was the control plane doing"
+    // companion to the counters: dump the merged stream, then write the
+    // full timeline next to the ctest log for offline inspection.
+    for (const observability::JournalEvent& e : cluster.CollectJournal()) {
+      fprintf(stderr, "DIAG journal[%llu] %s origin=%d at=%lld args=%lld,%lld %s\n",
+              static_cast<unsigned long long>(e.seq),
+              observability::JournalEventTypeName(e.type), e.origin,
+              static_cast<long long>(e.at_nanos),
+              static_cast<long long>(e.arg0),
+              static_cast<long long>(e.arg1), e.detail.c_str());
+    }
+    const char* diag_path = "FiniteStreamAcksEveryTree_failure_timeline.json";
+    if (cluster.DumpTimeline(diag_path).ok()) {
+      fprintf(stderr, "DIAG timeline written to %s\n", diag_path);
+    }
+    fprintf(stderr, "DIAG wait status: %s\n", wait.ToString().c_str());
+  }
+  ASSERT_TRUE(wait.ok());
+  EXPECT_EQ(cluster.SumCounter("instance.failed"), 0u);
   ASSERT_TRUE(cluster.Kill().ok());
 }
 

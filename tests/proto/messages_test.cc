@@ -34,7 +34,7 @@ TEST(MessagesTest, TupleDataRoundTrip) {
   EXPECT_EQ(parsed.values, original.values);
 }
 
-TEST(MessagesTest, TupleDataToFromTuple) {
+TEST(MessagesTest, TupleDataToTuple) {
   const TupleDataMsg msg = MakeTuple();
   api::Tuple tuple;
   msg.ToTuple("word", "default", 7, &tuple);
@@ -43,11 +43,6 @@ TEST(MessagesTest, TupleDataToFromTuple) {
   EXPECT_EQ(tuple.values(), msg.values);
   EXPECT_EQ(tuple.tuple_key(), msg.tuple_key);
   EXPECT_EQ(tuple.roots(), msg.roots);
-
-  TupleDataMsg back;
-  back.FromTuple(tuple);
-  EXPECT_EQ(back.tuple_key, msg.tuple_key);
-  EXPECT_EQ(back.values, msg.values);
 }
 
 TEST(MessagesTest, TupleBatchRoundTrip) {
