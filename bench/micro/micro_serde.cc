@@ -182,35 +182,33 @@ void BM_DecodeThenHash(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeThenHash);
 
-/// §V-A optimization 1: pooled message reuse ...
-void BM_PooledMessageAcquireRelease(benchmark::State& state) {
-  serde::MessagePool<proto::TupleDataMsg> pool(/*enabled=*/true);
-  // Warm the pool.
-  pool.Release(pool.Acquire());
+/// §V-A optimization 1: object reuse. A hot path keeps one scratch
+/// message and clears it per use ...
+void BM_ScratchMessageReuse(benchmark::State& state) {
+  proto::TupleDataMsg msg;
   for (auto _ : state) {
-    proto::TupleDataMsg* msg = pool.Acquire();
-    msg->tuple_key = 1;
-    benchmark::DoNotOptimize(msg);
-    pool.Release(msg);
+    msg.Clear();
+    msg.tuple_key = 1;
+    benchmark::DoNotOptimize(&msg);
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_PooledMessageAcquireRelease);
+BENCHMARK(BM_ScratchMessageReuse);
 
 /// ... versus "the expensive new/delete operations".
 void BM_HeapMessageNewDelete(benchmark::State& state) {
-  serde::MessagePool<proto::TupleDataMsg> pool(/*enabled=*/false);
   for (auto _ : state) {
-    proto::TupleDataMsg* msg = pool.Acquire();
+    auto* msg = new proto::TupleDataMsg();
     msg->tuple_key = 1;
     benchmark::DoNotOptimize(msg);
-    pool.Release(msg);
+    delete msg;
   }
 }
 BENCHMARK(BM_HeapMessageNewDelete);
 
 /// Pooled transport buffers vs fresh allocations per batch.
 void BM_PooledBuffer(benchmark::State& state) {
-  serde::BufferPool pool(/*enabled=*/true);
+  serde::BufferPool pool;
   pool.Release(pool.Acquire());
   for (auto _ : state) {
     serde::Buffer buffer = pool.Acquire();
@@ -222,12 +220,10 @@ void BM_PooledBuffer(benchmark::State& state) {
 BENCHMARK(BM_PooledBuffer);
 
 void BM_FreshBuffer(benchmark::State& state) {
-  serde::BufferPool pool(/*enabled=*/false);
   for (auto _ : state) {
-    serde::Buffer buffer = pool.Acquire();
+    serde::Buffer buffer;
     buffer.append(256, 'x');
     benchmark::DoNotOptimize(buffer.data());
-    pool.Release(std::move(buffer));
   }
 }
 BENCHMARK(BM_FreshBuffer);

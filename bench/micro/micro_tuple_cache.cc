@@ -22,7 +22,7 @@ serde::Buffer MakeTupleBytes() {
 /// hands off complete serialized batches.
 void BM_CacheAddAndDrain(benchmark::State& state) {
   const int64_t batch = state.range(0);
-  serde::BufferPool pool(/*enabled=*/true);
+  serde::BufferPool pool;
   smgr::TupleCache::Options options;
   options.drain_size_bytes = 64 << 20;  // Size cap out of the way.
   smgr::TupleCache cache(options, &pool);
@@ -63,7 +63,7 @@ BENCHMARK(BM_PerTupleBatches)->Arg(64)->Arg(512)->Arg(4096);
 /// or less often (smaller adds-per-drain = more per-batch overhead).
 void BM_CacheDrainGranularity(benchmark::State& state) {
   const int64_t adds_per_drain = state.range(0);
-  serde::BufferPool pool(/*enabled=*/true);
+  serde::BufferPool pool;
   smgr::TupleCache::Options options;
   options.drain_size_bytes = 64 << 20;
   smgr::TupleCache cache(options, &pool);

@@ -49,15 +49,14 @@ TaskId Router::RouteOne(const Values& values) {
     case GroupingKind::kShuffle:
       return target_tasks_[rng_.NextBelow(target_tasks_.size())];
     case GroupingKind::kFields:
-      return target_tasks_[KeyHash(values) % target_tasks_.size()];
+      return TaskForKeyHash(KeyHash(values));
     case GroupingKind::kGlobal:
       return target_tasks_.front();
     case GroupingKind::kAll:
-    case GroupingKind::kDirect:
     case GroupingKind::kCustom:
       break;
   }
-  HLOG(FATAL) << "RouteOne called on fan-out/direct grouping kind "
+  HLOG(FATAL) << "RouteOne called on fan-out grouping kind "
               << static_cast<int>(kind_);
   return -1;
 }
@@ -76,15 +75,17 @@ void Router::Route(const Values& values, std::vector<TaskId>* out) {
       const std::vector<int> picks =
           custom_fn_(values, static_cast<int>(target_tasks_.size()));
       for (const int p : picks) {
-        HERON_DCHECK(p >= 0 && p < static_cast<int>(target_tasks_.size()))
-            << "custom grouping index out of range";
+        // Picks come from user code: one out of range is that tuple's
+        // bug, not the engine's, so it is dropped rather than fatal.
+        if (p < 0 || p >= static_cast<int>(target_tasks_.size())) {
+          HLOG(ERROR) << "dropping custom grouping pick " << p
+                      << " outside [0, " << target_tasks_.size() << ")";
+          continue;
+        }
         out->push_back(target_tasks_[static_cast<size_t>(p)]);
       }
       return;
     }
-    case GroupingKind::kDirect:
-      HLOG(FATAL) << "direct grouping resolves via emit-direct, not Route()";
-      return;
   }
 }
 

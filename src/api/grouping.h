@@ -18,7 +18,6 @@ enum class GroupingKind : uint8_t {
   kFields = 1,    ///< Hash of selected fields → one task (sticky per key).
   kAll = 2,       ///< Replicated to every task.
   kGlobal = 3,    ///< Always the lowest task id.
-  kDirect = 4,    ///< Emitter names the destination task explicitly.
   kCustom = 5,    ///< User-provided function.
 };
 
@@ -28,8 +27,9 @@ using CustomGroupingFn =
     std::function<std::vector<int>(const Values& values, int num_tasks)>;
 
 /// \brief Resolves destination task ids for tuples on one (stream →
-/// consumer) edge. Built once from the physical plan; the data plane calls
-/// Route() per tuple with no allocation on the single-destination paths.
+/// consumer) edge. Built once from the physical plan; the Stream Manager
+/// keeps one per subscriber edge and calls it per tuple, with no
+/// allocation on the single-destination paths.
 class Router {
  public:
   /// \param kind          the grouping
@@ -42,19 +42,30 @@ class Router {
          CustomGroupingFn custom_fn = nullptr);
 
   /// Appends the destination task id(s) for `values` to `out`.
-  /// kAll appends every target; others append exactly one.
+  /// kAll appends every target; kCustom appends the function's in-range
+  /// picks (an out-of-range pick is logged and dropped); the others append
+  /// exactly one. Only kFields and kCustom read `values`.
   void Route(const Values& values, std::vector<TaskId>* out);
 
-  /// Single-destination fast path used by the hot loop; valid for every
-  /// kind except kAll and kCustom (which may fan out).
+  /// Single-destination fast path; valid for every kind except kAll and
+  /// kCustom (which may fan out).
   TaskId RouteOne(const Values& values);
 
   GroupingKind kind() const { return kind_; }
-  const std::vector<TaskId>& target_tasks() const { return target_tasks_; }
+
+  /// Positions of the grouping fields in the schema, ascending (kFields).
+  /// The Stream Manager hashes these straight off the serialized tuple.
+  const std::vector<int>& field_indices() const { return field_indices_; }
 
   /// Computes the fields-grouping hash of `values` with this router's
   /// selected field indices. Exposed for tests of routing determinism.
   uint64_t KeyHash(const Values& values) const;
+
+  /// The kFields destination of a key hash (KeyHash, or the same hash
+  /// peeked from serialized bytes).
+  TaskId TaskForKeyHash(uint64_t hash) const {
+    return target_tasks_[hash % target_tasks_.size()];
+  }
 
  private:
   GroupingKind kind_;

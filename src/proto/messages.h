@@ -123,8 +123,8 @@ class TupleBatchMsg final : public serde::Message {
 
 /// \brief Lazy/partial parse: extracts only dest_task from a serialized
 /// TupleBatchMsg, skipping everything else (§V-A optimization 2). The
-/// eager alternative — full TupleBatchMsg::ParseFromBytes — is the
-/// ablation baseline.
+/// eager alternative — full TupleBatchMsg::ParseFromBytes — survives only
+/// as micro_serde's baseline.
 Result<TaskId> PeekDestTask(serde::BytesView batch_bytes);
 
 /// \brief In-place update (§V-A: "performs in-place updates of Protocol

@@ -16,7 +16,6 @@ namespace runtime {
 
 LocalCluster::LocalCluster(Config cluster_config, const Clock* clock)
     : cluster_config_(std::move(cluster_config)),
-      transport_(/*pooling_enabled=*/true),
       clock_(clock != nullptr ? clock : RealClock::Get()) {
   HERON_CHECK_OK(state_.Initialize(cluster_config_));
   recovery_detect_ms_ = recovery_metrics_.GetHistogram("recovery.detect.ms");

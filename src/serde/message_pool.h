@@ -2,172 +2,42 @@
 #define HERON_SERDE_MESSAGE_POOL_H_
 
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <mutex>
 #include <vector>
 
-#include "serde/message.h"
+#include "serde/wire.h"
 
 namespace heron {
 namespace serde {
 
-/// \brief Counters exposed by pools so the ablation benchmarks can verify
-/// that steady-state operation stops allocating.
+/// \brief Counters a BufferPool exposes, so tests and benchmarks can
+/// verify that steady-state operation stops allocating.
 struct PoolStats {
-  uint64_t allocations = 0;  ///< Objects created with new.
-  uint64_t reuses = 0;       ///< Objects served from the free list.
-  uint64_t returns = 0;      ///< Objects handed back to the pool.
-  /// Returned objects the pool refused to retain because a growth bound
+  uint64_t allocations = 0;  ///< Buffers created fresh.
+  uint64_t reuses = 0;       ///< Buffers served from the free list.
+  uint64_t returns = 0;      ///< Buffers handed back to the pool.
+  /// Returned buffers the pool refused to retain because a growth bound
   /// (idle count, retained bytes, oversize buffer) tripped. Backpressure
   /// parking can return a burst far above steady state; the bounds turn
   /// that burst into evictions instead of permanently resident memory.
   uint64_t evicted = 0;
-  /// Peak idle objects ever retained at once (freelist high-water mark).
+  /// Peak idle buffers ever retained at once (freelist high-water mark).
   uint64_t high_water = 0;
 };
 
-/// \brief Recycling pool for message objects (§V-A optimization 1).
+/// \brief Recycling pool for serialization buffers — the transport fabric's
+/// allocator (§V-A optimization 1).
 ///
 /// "Our implementation allows reusability of the Protocol Buffer objects by
 /// using memory pools to store dedicated objects and thus avoid the
-/// expensive new/delete operations." Acquire() returns a cleared object —
-/// from the free list when available; Release() returns it. When disabled
-/// (the ablation baseline), Acquire always allocates and Release always
-/// deletes, which is what a naive implementation does per tuple.
+/// expensive new/delete operations." Outbound tuple batches are encoded
+/// into pooled buffers, and fabric receivers draw delivery buffers from the
+/// same pool, so the hot path performs no heap allocation once warm.
+/// Buffers keep their capacity across reuses (cleared, not shrunk). Message
+/// objects are not pooled: each hot path reuses one scratch message.
 ///
-/// Thread-safe; each Stream Manager owns its pools so contention is local.
-template <typename T>
-class MessagePool {
- public:
-  /// \param enabled   pool on/off toggle (off = ablation baseline)
-  /// \param max_idle  cap on retained free objects; beyond it Release deletes
-  explicit MessagePool(bool enabled = true, size_t max_idle = 4096)
-      : enabled_(enabled), max_idle_(max_idle) {}
-
-  ~MessagePool() {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (T* obj : free_list_) delete obj;
-  }
-
-  MessagePool(const MessagePool&) = delete;
-  MessagePool& operator=(const MessagePool&) = delete;
-
-  /// Returns a default-state object; caller must Release() it.
-  T* Acquire() {
-    if (enabled_) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!free_list_.empty()) {
-        T* obj = free_list_.back();
-        free_list_.pop_back();
-        ++stats_.reuses;
-        return obj;
-      }
-      ++stats_.allocations;
-    } else {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.allocations;
-    }
-    return new T();
-  }
-
-  /// Returns an object to the pool (or deletes it when disabled/full).
-  void Release(T* obj) {
-    if (obj == nullptr) return;
-    obj->Clear();
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.returns;
-      if (enabled_ && free_list_.size() < max_idle_) {
-        free_list_.push_back(obj);
-        if (free_list_.size() > stats_.high_water) {
-          stats_.high_water = free_list_.size();
-        }
-        return;
-      }
-      // Deleting when disabled is the ablation baseline, not an eviction.
-      if (enabled_) ++stats_.evicted;
-    }
-    delete obj;
-  }
-
-  PoolStats stats() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return stats_;
-  }
-
-  size_t idle_count() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return free_list_.size();
-  }
-
-  bool enabled() const { return enabled_; }
-
- private:
-  const bool enabled_;
-  const size_t max_idle_;
-  mutable std::mutex mutex_;
-  std::vector<T*> free_list_;
-  PoolStats stats_;
-};
-
-/// \brief RAII handle that returns a pooled object on destruction.
-template <typename T>
-class PooledPtr {
- public:
-  PooledPtr() : pool_(nullptr), obj_(nullptr) {}
-  PooledPtr(MessagePool<T>* pool, T* obj) : pool_(pool), obj_(obj) {}
-  ~PooledPtr() { reset(); }
-
-  PooledPtr(const PooledPtr&) = delete;
-  PooledPtr& operator=(const PooledPtr&) = delete;
-  PooledPtr(PooledPtr&& other) noexcept : pool_(other.pool_), obj_(other.obj_) {
-    other.obj_ = nullptr;
-  }
-  PooledPtr& operator=(PooledPtr&& other) noexcept {
-    if (this != &other) {
-      reset();
-      pool_ = other.pool_;
-      obj_ = other.obj_;
-      other.obj_ = nullptr;
-    }
-    return *this;
-  }
-
-  T* get() const { return obj_; }
-  T* operator->() const { return obj_; }
-  T& operator*() const { return *obj_; }
-  explicit operator bool() const { return obj_ != nullptr; }
-
-  /// Releases the object back to its pool.
-  void reset() {
-    if (obj_ != nullptr && pool_ != nullptr) pool_->Release(obj_);
-    obj_ = nullptr;
-  }
-
-  /// Detaches ownership without releasing.
-  T* release() {
-    T* obj = obj_;
-    obj_ = nullptr;
-    return obj;
-  }
-
- private:
-  MessagePool<T>* pool_;
-  T* obj_;
-};
-
-template <typename T>
-PooledPtr<T> AcquirePooled(MessagePool<T>* pool) {
-  return PooledPtr<T>(pool, pool->Acquire());
-}
-
-/// \brief Recycling pool for serialization buffers — the transport fabric's
-/// allocator.
-///
-/// Companion to MessagePool: outbound tuple batches are encoded into pooled
-/// buffers, and fabric receivers draw delivery buffers from the same pool,
-/// so the hot path performs no heap allocation once warm. Buffers keep
-/// their capacity across reuses (cleared, not shrunk).
+/// Thread-safe; senders and receivers on different threads share one pool.
 ///
 /// Growth is bounded on three axes, because a backpressure-parking burst
 /// returns a spike of buffers that must not become permanently resident:
@@ -179,50 +49,42 @@ PooledPtr<T> AcquirePooled(MessagePool<T>* pool) {
 /// `stats().evicted`; `stats().high_water` tracks the freelist peak.
 class BufferPool {
  public:
-  explicit BufferPool(bool enabled = true, size_t max_idle = 4096,
+  explicit BufferPool(size_t max_idle = 4096,
                       size_t max_retained_bytes = 64u << 20,
                       size_t max_buffer_bytes = 4u << 20)
-      : enabled_(enabled),
-        max_idle_(max_idle),
+      : max_idle_(max_idle),
         max_retained_bytes_(max_retained_bytes),
         max_buffer_bytes_(max_buffer_bytes) {}
 
   /// Returns an empty buffer (capacity retained from prior use when pooled).
   Buffer Acquire() {
-    if (enabled_) {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (!free_list_.empty()) {
-        Buffer buf = std::move(free_list_.back());
-        free_list_.pop_back();
-        retained_bytes_ -= buf.capacity();
-        ++stats_.reuses;
-        buf.clear();
-        return buf;
-      }
-      ++stats_.allocations;
-    } else {
-      std::lock_guard<std::mutex> lock(mutex_);
-      ++stats_.allocations;
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (!free_list_.empty()) {
+      Buffer buf = std::move(free_list_.back());
+      free_list_.pop_back();
+      retained_bytes_ -= buf.capacity();
+      ++stats_.reuses;
+      buf.clear();
+      return buf;
     }
+    ++stats_.allocations;
     return Buffer();
   }
 
   void Release(Buffer buf) {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.returns;
-    if (enabled_) {
-      const size_t cap = buf.capacity();
-      if (free_list_.size() < max_idle_ && cap <= max_buffer_bytes_ &&
-          retained_bytes_ + cap <= max_retained_bytes_) {
-        retained_bytes_ += cap;
-        free_list_.push_back(std::move(buf));
-        if (free_list_.size() > stats_.high_water) {
-          stats_.high_water = free_list_.size();
-        }
-        return;
+    const size_t cap = buf.capacity();
+    if (free_list_.size() < max_idle_ && cap <= max_buffer_bytes_ &&
+        retained_bytes_ + cap <= max_retained_bytes_) {
+      retained_bytes_ += cap;
+      free_list_.push_back(std::move(buf));
+      if (free_list_.size() > stats_.high_water) {
+        stats_.high_water = free_list_.size();
       }
-      ++stats_.evicted;
+      return;
     }
+    ++stats_.evicted;
   }
 
   PoolStats stats() const {
@@ -241,13 +103,10 @@ class BufferPool {
     return retained_bytes_;
   }
 
-  bool enabled() const { return enabled_; }
-  size_t max_idle() const { return max_idle_; }
   size_t max_retained_bytes() const { return max_retained_bytes_; }
   size_t max_buffer_bytes() const { return max_buffer_bytes_; }
 
  private:
-  const bool enabled_;
   const size_t max_idle_;
   const size_t max_retained_bytes_;
   const size_t max_buffer_bytes_;

@@ -4,6 +4,7 @@
 #include <set>
 
 #include "common/logging.h"
+#include "common/random.h"
 #include "common/strings.h"
 
 namespace heron {
@@ -22,7 +23,6 @@ StreamManager::StreamManager(const Options& options,
       cache_({options.cache_drain_frequency_ms, options.cache_drain_size_bytes},
              transport->buffer_pool()),
       tracker_(options.message_timeout_ms * 1000000),
-      rng_(options.seed ^ (static_cast<uint64_t>(options.container) << 32)),
       loop_(
           runtime::EventLoop::Options{
               /*.name=*/StrFormat("smgr-%d", options.container),
@@ -32,29 +32,23 @@ StreamManager::StreamManager(const Options& options,
               /*.registry=*/&metrics_,
               /*.metric_prefix=*/"smgr"},
           clock) {
-  // Resolve the routing table once: every (producer component, stream)
-  // edge this container's instances can emit on.
+  // Resolve the routing table once: one router per subscriber of every
+  // (producer component, stream) this container's instances can emit on.
+  // Each edge draws its own shuffle seed from this SMGR's seed, so picks
+  // are reproducible per container and independent across edges.
+  Random seeder(options.seed ^
+                (static_cast<uint64_t>(options.container) << 32));
   const api::Topology& topology = plan_->topology();
   for (const auto& component : topology.components()) {
     for (const auto& [stream, schema] : component.outputs) {
-      std::vector<Edge> edges;
+      std::vector<api::Router> routers;
       for (const auto& sub : plan_->SubscribersOf(component.id, stream)) {
-        Edge edge;
-        edge.kind = sub.spec.grouping;
-        edge.tasks = sub.consumer_tasks;
-        edge.custom_fn = sub.spec.custom_fn;
-        edge.schema = schema;
-        if (edge.kind == api::GroupingKind::kFields) {
-          for (const auto& name : sub.spec.grouping_fields.names()) {
-            edge.sorted_field_indices.push_back(schema.IndexOf(name));
-          }
-          std::sort(edge.sorted_field_indices.begin(),
-                    edge.sorted_field_indices.end());
-        }
-        edges.push_back(std::move(edge));
+        routers.emplace_back(sub.spec.grouping, schema,
+                             sub.spec.grouping_fields, sub.consumer_tasks,
+                             seeder.NextUint64(), sub.spec.custom_fn);
       }
-      if (!edges.empty()) {
-        edges_[{component.id, stream}] = std::move(edges);
+      if (!routers.empty()) {
+        edges_[{component.id, stream}] = std::move(routers);
       }
     }
   }
@@ -281,51 +275,38 @@ void StreamManager::MaybeRegisterRoots(TaskId src_task,
   }
 }
 
-void StreamManager::RouteTuple(const std::vector<Edge>* edges, TaskId src_task,
-                               serde::BytesView stream,
+void StreamManager::RouteTuple(std::vector<api::Router>* edges,
+                               TaskId src_task, serde::BytesView stream,
                                serde::BytesView src_component,
                                serde::BytesView tuple_bytes,
                                uint64_t trace_id) {
-  for (const Edge& edge : *edges) {
+  for (api::Router& router : *edges) {
     route_scratch_.clear();
-    switch (edge.kind) {
-      case api::GroupingKind::kShuffle:
-        route_scratch_.push_back(
-            edge.tasks[rng_.NextBelow(edge.tasks.size())]);
-        break;
+    // The router picks every destination; this hop supplies only what it
+    // cannot read off the serialized tuple itself.
+    switch (router.kind()) {
       case api::GroupingKind::kFields: {
-        auto hash = proto::PeekFieldsHash(tuple_bytes,
-                                          edge.sorted_field_indices);
+        // The key hash, peeked without decoding a value.
+        auto hash = proto::PeekFieldsHash(tuple_bytes, router.field_indices());
         if (!hash.ok()) {
           HLOG(ERROR) << "dropping unroutable tuple: "
                       << hash.status().ToString();
           continue;
         }
-        route_scratch_.push_back(edge.tasks[*hash % edge.tasks.size()]);
+        route_scratch_.push_back(router.TaskForKeyHash(*hash));
         break;
       }
-      case api::GroupingKind::kGlobal:
-        route_scratch_.push_back(edge.tasks.front());
-        break;
-      case api::GroupingKind::kAll:
-        route_scratch_ = edge.tasks;
-        break;
-      case api::GroupingKind::kCustom: {
+      case api::GroupingKind::kCustom:
         // Custom groupings see decoded values by contract; this edge pays
-        // the full decode regardless of the optimization toggle.
-        proto::TupleDataMsg msg;
-        if (!msg.ParseFromBytes(tuple_bytes).ok()) continue;
-        const auto picks = edge.custom_fn(
-            msg.values, static_cast<int>(edge.tasks.size()));
-        for (const int p : picks) {
-          route_scratch_.push_back(edge.tasks[static_cast<size_t>(p)]);
-        }
+        // the full decode.
+        if (!custom_scratch_.ParseFromBytes(tuple_bytes).ok()) continue;
+        router.Route(custom_scratch_.values, &route_scratch_);
         break;
-      }
-      case api::GroupingKind::kDirect:
-        // Direct grouping is resolved by the emitting executor; tuples on
-        // a direct edge arrive pre-addressed as routed batches.
-        continue;
+      case api::GroupingKind::kShuffle:
+      case api::GroupingKind::kGlobal:
+      case api::GroupingKind::kAll:
+        router.Route(no_values_, &route_scratch_);
+        break;
     }
     for (const TaskId dest : route_scratch_) {
       cache_.Add(dest, src_task, stream, src_component, tuple_bytes,
@@ -342,88 +323,34 @@ void StreamManager::HandleInstanceBatch(const serde::Buffer& payload,
   // PeekTraceId. Untraced traffic routes with zero extra work.
   const bool peek_traces =
       options_.span_collector != nullptr && env_trace_id != 0;
-  if (options_.optimizations) {
-    // Lazy path: views only, no tuple materialization.
-    if (!proto::ParseTupleBatchView(payload, &view_scratch_).ok()) {
-      HLOG(ERROR) << "dropping malformed instance batch";
-      return;
-    }
-    const std::pair<ComponentId, StreamId> key{
-        std::string(view_scratch_.src_component),
-        std::string(view_scratch_.stream)};
-    const auto it = edges_.find(key);
-    const bool is_spout =
-        options_.acking &&
-        local_task_is_spout_[view_scratch_.src_task];
-    for (const serde::BytesView tuple : view_scratch_.tuples) {
-      if (is_spout) MaybeRegisterRoots(view_scratch_.src_task, tuple);
-      uint64_t trace_id = 0;
-      if (peek_traces) {
-        auto peeked = proto::PeekTraceId(tuple);
-        if (peeked.ok() && *peeked != 0) {
-          trace_id = *peeked;
-          options_.span_collector->Record(
-              trace_id, observability::TraceStage::kSmgrRoute,
-              options_.container, clock_->NowNanos());
-        }
-      }
-      if (it != edges_.end()) {
-        RouteTuple(&it->second, view_scratch_.src_task, view_scratch_.stream,
-                   view_scratch_.src_component, tuple, trace_id);
-      }
-    }
-    return;
-  }
-
-  // Ablation path: fully deserialize the batch and every tuple, then
-  // re-serialize each tuple before caching — the per-hop copy + parse a
-  // naive engine performs.
-  proto::TupleBatchMsg batch;
-  if (!batch.ParseFromBytes(payload).ok()) {
+  // Views only, no tuple materialization.
+  if (!proto::ParseTupleBatchView(payload, &view_scratch_).ok()) {
     HLOG(ERROR) << "dropping malformed instance batch";
     return;
   }
-  const auto it = edges_.find({batch.src_component, batch.stream});
+  const std::pair<ComponentId, StreamId> key{
+      std::string(view_scratch_.src_component),
+      std::string(view_scratch_.stream)};
+  const auto it = edges_.find(key);
   const bool is_spout =
-      options_.acking && local_task_is_spout_[batch.src_task];
-  for (const serde::Buffer& tuple_bytes : batch.tuples) {
-    proto::TupleDataMsg tuple;
-    if (!tuple.ParseFromBytes(tuple_bytes).ok()) continue;
-    if (is_spout) {
-      const int64_t now = clock_->NowNanos();
-      for (const api::TupleKey root : tuple.roots) {
-        tracker_.Register(root, tuple.tuple_key, now);
+      options_.acking && local_task_is_spout_[view_scratch_.src_task];
+  for (const serde::BytesView tuple : view_scratch_.tuples) {
+    if (is_spout) MaybeRegisterRoots(view_scratch_.src_task, tuple);
+    uint64_t trace_id = 0;
+    if (peek_traces) {
+      auto peeked = proto::PeekTraceId(tuple);
+      if (peeked.ok() && *peeked != 0) {
+        trace_id = *peeked;
+        options_.span_collector->Record(
+            trace_id, observability::TraceStage::kSmgrRoute,
+            options_.container, clock_->NowNanos());
       }
     }
-    if (peek_traces && tuple.trace_id != 0) {
-      options_.span_collector->Record(
-          tuple.trace_id, observability::TraceStage::kSmgrRoute,
-          options_.container, clock_->NowNanos());
-    }
-    serde::Buffer reserialized = tuple.SerializeAsBuffer();
     if (it != edges_.end()) {
-      RouteTuple(&it->second, batch.src_task, batch.stream,
-                 batch.src_component, reserialized, tuple.trace_id);
+      RouteTuple(&it->second, view_scratch_.src_task, view_scratch_.stream,
+                 view_scratch_.src_component, tuple, trace_id);
     }
   }
-}
-
-serde::Buffer StreamManager::ReserializeBatch(const serde::Buffer& payload) {
-  proto::TupleBatchMsg batch;
-  if (!batch.ParseFromBytes(payload).ok()) {
-    return payload;  // Malformed; pass through, the receiver will drop it.
-  }
-  proto::TupleBatchMsg rebuilt;
-  rebuilt.src_task = batch.src_task;
-  rebuilt.dest_task = batch.dest_task;
-  rebuilt.stream = batch.stream;
-  rebuilt.src_component = batch.src_component;
-  for (const serde::Buffer& tuple_bytes : batch.tuples) {
-    proto::TupleDataMsg tuple;
-    if (!tuple.ParseFromBytes(tuple_bytes).ok()) continue;
-    rebuilt.tuples.push_back(tuple.SerializeAsBuffer());
-  }
-  return rebuilt.SerializeAsBuffer();
 }
 
 void StreamManager::HandleRoutedBatch(proto::Envelope env) {
@@ -435,51 +362,23 @@ void StreamManager::HandleRoutedBatch(proto::Envelope env) {
         env.trace_id, observability::TraceStage::kTransportHop,
         options_.container, clock_->NowNanos());
   }
-  TaskId dest = -1;
-  if (options_.optimizations) {
-    // Zero-copy route: the destination rode in on the envelope (and, on
-    // wire transports, in the frame header), so forwarding never reads a
-    // payload byte. The peek below is the compatibility fallback for
-    // unaddressed envelopes only — in steady state it never runs, which
-    // is exactly what `smgr.payload_touches == 0` asserts.
-    dest = env.dest_task;
-    if (dest < 0) {
-      payload_touches_->Increment();
-      auto peeked = proto::PeekDestTask(env.payload);
-      if (!peeked.ok()) {
-        HLOG(ERROR) << "dropping routed batch without destination";
-        return;
-      }
-      dest = *peeked;
-    }
-  } else {
-    // Ablation: the naive hop deserializes everything and rebuilds the
-    // batch before passing it on.
+  // Zero-copy route: the destination rode in on the envelope (and, on
+  // wire transports, in the frame header), so forwarding never reads a
+  // payload byte. The peek below is the compatibility fallback for
+  // unaddressed envelopes only — in steady state it never runs, which is
+  // exactly what `smgr.payload_touches == 0` asserts.
+  TaskId dest = env.dest_task;
+  if (dest < 0) {
     payload_touches_->Increment();
-    serde::Buffer rebuilt = ReserializeBatch(env.payload);
-    auto peeked = proto::PeekDestTask(rebuilt);
+    auto peeked = proto::PeekDestTask(env.payload);
     if (!peeked.ok()) {
       HLOG(ERROR) << "dropping routed batch without destination";
+      transport_->buffer_pool()->Release(std::move(env.payload));
       return;
     }
     dest = *peeked;
-    env.payload = std::move(rebuilt);
   }
-  env.dest_task = dest;
-
-  auto container = plan_->ContainerOfTask(dest);
-  if (!container.ok()) {
-    // In-flight tuples addressed under a newer/older physical plan during
-    // a scaling transition land here; dropping is the correct behaviour
-    // (at-most-once for unacked tuples, replay via Fail for acked ones).
-    HLOG(WARNING) << "dropping batch for unknown task " << dest;
-    return;
-  }
-  if (*container == options_.container) {
-    SendToInstance(dest, std::move(env));
-  } else {
-    SendToContainer(*container, std::move(env));
-  }
+  Deliver(dest, std::move(env));
 }
 
 void StreamManager::HandleAckBatch(proto::Envelope env) {
@@ -503,7 +402,7 @@ void StreamManager::HandleAckBatch(proto::Envelope env) {
   }
   if (*container != options_.container) {
     env.dest_task = dest;
-    SendToContainer(*container, std::move(env));
+    TrySendOrPark(Transport::SmgrEndpoint(*container), std::move(env));
     return;
   }
   if (!ack_scratch_.ParseFromBytes(env.payload).ok()) {
@@ -527,18 +426,7 @@ void StreamManager::HandleBarrier(proto::Envelope env) {
     // Addressed barrier: forward on metadata alone, exactly like a routed
     // batch — per-dest FIFO keeps it behind the data it must trail.
     const TaskId dest = env.dest_task;
-    auto container = plan_->ContainerOfTask(dest);
-    if (!container.ok()) {
-      HLOG(WARNING) << "dropping barrier for unknown task " << dest;
-      transport_->buffer_pool()->Release(std::move(env.payload));
-      return;
-    }
-    barriers_forwarded_->Increment();
-    if (*container == options_.container) {
-      SendToInstance(dest, std::move(env));
-    } else {
-      SendToContainer(*container, std::move(env));
-    }
+    if (Deliver(dest, std::move(env))) barriers_forwarded_->Increment();
     return;
   }
   // Fan-out request from a local instance: "my pre-barrier emissions are
@@ -564,20 +452,12 @@ void StreamManager::HandleBarrier(proto::Envelope env) {
     }
   }
   for (const TaskId consumer : consumers) {
-    auto container = plan_->ContainerOfTask(consumer);
-    if (!container.ok()) continue;
     serde::Buffer payload = transport_->buffer_pool()->Acquire();
     serde::WireEncoder enc(&payload);
     msg.SerializeTo(&enc);
     proto::Envelope out(proto::MessageType::kCheckpointBarrier,
                         std::move(payload));
-    out.dest_task = consumer;
-    barriers_forwarded_->Increment();
-    if (*container == options_.container) {
-      SendToInstance(consumer, std::move(out));
-    } else {
-      SendToContainer(*container, std::move(out));
-    }
+    if (Deliver(consumer, std::move(out))) barriers_forwarded_->Increment();
   }
 }
 
@@ -601,37 +481,21 @@ void StreamManager::AddRootEvent(const AckTracker::Completion& completion) {
 
 void StreamManager::FlushRootEvents() {
   for (PendingRootEvents& pending : root_events_) {
-    SendToInstance(pending.task,
-                   proto::Envelope(proto::MessageType::kRootEvent,
-                                   std::move(pending.payload)));
+    Deliver(pending.task, proto::Envelope(proto::MessageType::kRootEvent,
+                                          std::move(pending.payload)));
   }
   root_events_.clear();
 }
 
 void StreamManager::DrainCacheNow(bool timer_drain) {
   for (auto& batch : cache_.DrainAll(timer_drain)) {
-    auto container = plan_->ContainerOfTask(batch.dest);
-    if (!container.ok()) {
-      HLOG(ERROR) << "dropping batch for unknown task " << batch.dest;
-      continue;
-    }
-    batches_out_->Increment();
-    bytes_out_->Increment(batch.bytes.size());
+    const size_t bytes = batch.bytes.size();
     proto::Envelope env(proto::MessageType::kTupleBatchRouted,
                         std::move(batch.bytes));
     env.trace_id = batch.trace_id;
-    // Address the envelope here, where the destination is already known:
-    // every downstream hop (peer SMGRs included) then routes on metadata
-    // alone and never peeks the payload.
-    env.dest_task = batch.dest;
-    if (*container == options_.container) {
-      if (!options_.optimizations) {
-        // The naive engine re-serializes even on local delivery.
-        env.payload = ReserializeBatch(env.payload);
-      }
-      SendToInstance(batch.dest, std::move(env));
-    } else {
-      SendToContainer(*container, std::move(env));
+    if (Deliver(batch.dest, std::move(env))) {
+      batches_out_->Increment();
+      bytes_out_->Increment(bytes);
     }
   }
 }
@@ -644,14 +508,25 @@ void StreamManager::ExpireAcksNow() {
   FlushRootEvents();
 }
 
-void StreamManager::SendToInstance(TaskId task, proto::Envelope env) {
-  env.dest_task = task;
-  TrySendOrPark(Transport::InstanceEndpoint(task), std::move(env));
-}
-
-void StreamManager::SendToContainer(ContainerId container,
-                                    proto::Envelope env) {
-  TrySendOrPark(Transport::SmgrEndpoint(container), std::move(env));
+bool StreamManager::Deliver(TaskId dest, proto::Envelope env) {
+  auto container = plan_->ContainerOfTask(dest);
+  if (!container.ok()) {
+    // In-flight tuples addressed under a newer/older physical plan during
+    // a scaling transition land here; dropping is the correct behaviour
+    // (at-most-once for unacked tuples, replay via Fail for acked ones).
+    HLOG(WARNING) << "dropping envelope for unknown task " << dest;
+    transport_->buffer_pool()->Release(std::move(env.payload));
+    return false;
+  }
+  // Address the envelope here, where the destination is known: every
+  // downstream hop (peer SMGRs included) then routes on metadata alone
+  // and never peeks the payload.
+  env.dest_task = dest;
+  TrySendOrPark(*container == options_.container
+                    ? Transport::InstanceEndpoint(dest)
+                    : Transport::SmgrEndpoint(*container),
+                std::move(env));
+  return true;
 }
 
 void StreamManager::TrySendOrPark(const Transport::Endpoint& dest,

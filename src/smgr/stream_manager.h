@@ -10,7 +10,6 @@
 
 #include "api/grouping.h"
 #include "common/clock.h"
-#include "common/random.h"
 #include "metrics/metrics.h"
 #include "observability/journal.h"
 #include "observability/trace.h"
@@ -34,14 +33,14 @@ namespace smgr {
 /// spouts it hosts, and hands each spout its finished trees in one
 /// kRootEvent envelope per ack batch (DESIGN.md, "Ack path").
 ///
-/// The §V-A optimizations are a single toggle (`optimizations`):
-///  - ON: routing works on serialized views (ParseTupleBatchView /
-///    PeekFieldsHash / PeekDestTask); transit batches are forwarded as
-///    byte arrays; buffers come from the shared pool.
-///  - OFF (the ablation baseline): every hop fully deserializes tuple
-///    objects, rebuilds and reserializes them, and allocates fresh
-///    buffers/messages — the naive implementation the paper's
-///    "without optimizations" bars measure.
+/// One path routes every tuple, with the §V-A optimizations built in:
+/// routing works on serialized views (ParseTupleBatchView /
+/// PeekFieldsHash / PeekDestTask), transit batches are forwarded as byte
+/// arrays, and buffers come from the shared pool. The grouping policy is
+/// one api::Router per subscriber edge; the SMGR hands it a key hash
+/// peeked from the bytes (fields) or the decoded values (custom). The
+/// paper's "without optimizations" baseline (Figs. 5–9) is modeled in
+/// the DES (`sim::HeronSimConfig::optimizations`), not run live.
 ///
 /// Threading: the SMGR owns no loop body of its own — it registers its
 /// inbound channel, cache-drain timer and ack/retry services on a shared
@@ -75,7 +74,6 @@ class StreamManager {
   struct Options {
     ContainerId container = 0;
     bool acking = false;
-    bool optimizations = true;
     int64_t cache_drain_frequency_ms = 10;
     size_t cache_drain_size_bytes = 1 << 20;
     int64_t message_timeout_ms = 30000;
@@ -84,6 +82,7 @@ class StreamManager {
     /// Retry entries at which an active episode releases (hysteresis).
     /// 0 = half the high watermark. Must be < high watermark to be useful.
     size_t backpressure_low_water = 0;
+    /// Seeds the per-edge shuffle RNGs (mixed with the container id).
     uint64_t seed = 42;
     /// Set on a restarted (recovered) container: on registration this SMGR
     /// broadcasts kStopBackpressure naming itself, so survivors release any
@@ -169,14 +168,6 @@ class StreamManager {
   size_t acks_pending() const { return tracker_.pending(); }
 
  private:
-  struct Edge {
-    api::GroupingKind kind;
-    std::vector<int> sorted_field_indices;  ///< kFields.
-    std::vector<TaskId> tasks;              ///< Ascending consumer tasks.
-    api::CustomGroupingFn custom_fn;        ///< kCustom.
-    api::Fields schema;                     ///< kCustom decode path.
-  };
-
   /// Registers handlers/timers/services on the reactor (ctor-time wiring).
   void WireLoop();
   /// Shared Start/StartStepMode body: transport registration + timer arm.
@@ -203,15 +194,17 @@ class StreamManager {
   /// Routes one serialized tuple along every subscribed edge.
   /// `trace_id` (0 = untraced) rides into the tuple cache so outgoing
   /// envelopes carry the tracing hint.
-  void RouteTuple(const std::vector<Edge>* edges, TaskId src_task,
+  void RouteTuple(std::vector<api::Router>* edges, TaskId src_task,
                   serde::BytesView stream, serde::BytesView src_component,
                   serde::BytesView tuple_bytes, uint64_t trace_id);
 
   /// Registers spout roots when acking (lazy peek on the serialized tuple).
   void MaybeRegisterRoots(TaskId src_task, serde::BytesView tuple_bytes);
 
-  void SendToInstance(TaskId task, proto::Envelope env);
-  void SendToContainer(ContainerId container, proto::Envelope env);
+  /// Addresses `env` to `dest` and sends it to the task's instance when
+  /// the task is local, else to its container's SMGR. A task the plan
+  /// does not know is dropped (buffer recycled) and false returned.
+  bool Deliver(TaskId dest, proto::Envelope env);
   void TrySendOrPark(const Transport::Endpoint& dest, proto::Envelope env);
   /// Counts a completion and appends it to its spout task's pending
   /// root-event payload.
@@ -234,10 +227,6 @@ class StreamManager {
   /// Episode bookkeeping shared by MaybeClear and shutdown teardown.
   void EndLocalEpisode(bool broadcast);
 
-  /// The ablation path: full deserialize + rebuild + reserialize of a
-  /// routed batch before delivery.
-  serde::Buffer ReserializeBatch(const serde::Buffer& payload);
-
   Options options_;
   std::shared_ptr<const proto::PhysicalPlan> plan_;
   Transport* transport_;
@@ -246,11 +235,12 @@ class StreamManager {
   EnvelopeChannel inbound_;
   TupleCache cache_;
   AckTracker tracker_;
-  Random rng_;
   metrics::MetricsRegistry metrics_;
 
-  /// (component, stream) → subscriber edges; resolved once at startup.
-  std::map<std::pair<ComponentId, StreamId>, std::vector<Edge>> edges_;
+  /// (component, stream) → one router per subscriber edge; resolved once
+  /// at startup.
+  std::map<std::pair<ComponentId, StreamId>, std::vector<api::Router>>
+      edges_;
   /// Components hosted in this container that are spouts (root owners).
   std::map<TaskId, bool> local_task_is_spout_;
 
@@ -301,11 +291,10 @@ class StreamManager {
   metrics::Counter* roots_failed_;
   metrics::Counter* roots_timeout_;
   metrics::Gauge* retry_depth_;
-  /// Forwarding-path payload inspections. The zero-copy invariant: with
-  /// optimizations on, every batch the SMGR forwards (rather than
-  /// ingests) routes on Envelope/frame metadata alone, so this counter
-  /// must read 0. Fallback peeks (unaddressed envelopes) and the ablation
-  /// deserialize-reserialize hop each count one touch.
+  /// Forwarding-path payload inspections. The zero-copy invariant: every
+  /// batch the SMGR forwards (rather than ingests) routes on
+  /// Envelope/frame metadata alone, so this counter must read 0. Only
+  /// fallback peeks (unaddressed envelopes) count a touch.
   metrics::Counter* payload_touches_;
   /// Barrier fan-out requests served for local origin tasks.
   metrics::Counter* barrier_fanouts_;
@@ -321,6 +310,8 @@ class StreamManager {
   // Scratch reused across envelopes (object-reuse discipline, §V-A).
   std::vector<TaskId> route_scratch_;
   proto::TupleBatchView view_scratch_;
+  proto::TupleDataMsg custom_scratch_;  ///< Decoded tuple, custom edges.
+  const api::Values no_values_;  ///< For routers that read no values.
   std::vector<api::TupleKey> roots_scratch_;
   proto::AckBatchMsg ack_scratch_;
 

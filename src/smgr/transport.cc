@@ -5,8 +5,7 @@
 namespace heron {
 namespace smgr {
 
-Transport::Transport(bool pooling_enabled)
-    : buffer_pool_(pooling_enabled, /*max_idle=*/65536) {
+Transport::Transport() : buffer_pool_(/*max_idle=*/65536) {
   ipc::Fabric::Options fabric_options;
   fabric_options.pool = &buffer_pool_;
   fabric_ = std::make_unique<ipc::InProcessFabric>(fabric_options);

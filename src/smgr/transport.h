@@ -41,9 +41,7 @@ using EnvelopeChannel = ipc::Channel<proto::Envelope>;
 /// forwarding paths never parse payloads (the zero-copy invariant).
 ///
 /// Also owns the shared BufferPool through which transport buffers are
-/// recycled across senders and receivers (§V-A optimization 1 — when
-/// pooling is disabled, every Acquire is a fresh allocation, the naive
-/// baseline).
+/// recycled across senders and receivers (§V-A optimization 1).
 class Transport {
  public:
   enum class Mode { kInProcess, kSocket, kShmRing };
@@ -93,8 +91,7 @@ class Transport {
     uint64_t link_key = 0;
   };
 
-  /// \param pooling_enabled  buffer recycling on/off (ablation toggle)
-  explicit Transport(bool pooling_enabled = true);
+  Transport();
   ~Transport();
 
   /// Selects the wire. Must run before any endpoint registers (the links

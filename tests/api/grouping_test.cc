@@ -45,6 +45,9 @@ TEST(GroupingTest, FieldOrderInGroupingSpecIsIrrelevant) {
   Router ba(GroupingKind::kFields, kSchema, Fields({"count", "word"}), kTasks);
   const Values v = {Value(std::string("w")), Value(int64_t{3})};
   EXPECT_EQ(ab.KeyHash(v), ba.KeyHash(v));
+  EXPECT_EQ(ab.field_indices(), (std::vector<int>{0, 1}));
+  EXPECT_EQ(ba.field_indices(), ab.field_indices());
+  EXPECT_EQ(ab.TaskForKeyHash(ab.KeyHash(v)), ab.RouteOne(v));
 }
 
 TEST(GroupingTest, ShuffleIsRoughlyBalanced) {
@@ -108,6 +111,18 @@ TEST(GroupingTest, CustomGroupingMayFanOut) {
   std::vector<TaskId> out;
   r.Route({Value(std::string("x")), Value(int64_t{0})}, &out);
   EXPECT_EQ(out, (std::vector<TaskId>{10, 11}));
+}
+
+TEST(GroupingTest, CustomGroupingDropsOutOfRangePicks) {
+  // User code returns picks below 0 and at or past the task count; only
+  // index 1 is valid. The bad picks are dropped, not fatal.
+  const CustomGroupingFn sloppy = [](const Values&, int num_tasks) {
+    return std::vector<int>{-1, num_tasks, 1, num_tasks + 7};
+  };
+  Router r(GroupingKind::kCustom, kSchema, Fields(), kTasks, 1, sloppy);
+  std::vector<TaskId> out;
+  r.Route({Value(std::string("x")), Value(int64_t{0})}, &out);
+  EXPECT_EQ(out, (std::vector<TaskId>{kTasks[1]}));
 }
 
 TEST(GroupingTest, RouteAppendsWithoutClearing) {

@@ -34,7 +34,7 @@ class InstanceTest : public ::testing::Test {
     ASSERT_TRUE(plan.ok());
     physical_ = *proto::PhysicalPlan::Build(*topology, *plan);
 
-    transport_ = std::make_unique<smgr::Transport>(true);
+    transport_ = std::make_unique<smgr::Transport>();
     smgr_inbound_ = std::make_unique<smgr::EnvelopeChannel>(1 << 14);
     ASSERT_TRUE(transport_->RegisterSmgr(0, smgr_inbound_.get()).ok());
   }

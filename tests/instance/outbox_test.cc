@@ -15,7 +15,7 @@ proto::TupleDataMsg WordTuple(const std::string& word) {
 
 class OutboxTest : public ::testing::Test {
  protected:
-  OutboxTest() : transport_(true), smgr_inbound_(256) {
+  OutboxTest() : smgr_inbound_(256) {
     HERON_CHECK_OK(transport_.RegisterSmgr(0, &smgr_inbound_));
   }
 

@@ -192,7 +192,7 @@ class ReceiveAllocInstanceTest : public ::testing::Test {
   }
 
   uint64_t checksum_ = 0;
-  smgr::Transport transport_{/*pooling_enabled=*/true};
+  smgr::Transport transport_;
   std::unique_ptr<instance::HeronInstance> bolt_;
 };
 

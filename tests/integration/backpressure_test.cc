@@ -69,7 +69,7 @@ TEST_F(BackpressureStepTest, SlowContainerThrottlesRemoteSpouts) {
   const auto run_universe = [this]() -> UniverseTrace {
     UniverseTrace trace;
     SimClock clock(0);
-    smgr::Transport transport(/*pooling_enabled=*/true);
+    smgr::Transport transport;
 
     // Container 0: the episode initiator. Low watermarks so the test trips
     // within a handful of rounds.
@@ -235,7 +235,7 @@ TEST_F(BackpressureStepTest, SlowContainerThrottlesRemoteSpouts) {
 // on behalf of the departed container.
 TEST_F(BackpressureStepTest, RemovedInitiatorReleasesSurvivorThrottles) {
   SimClock clock(0);
-  smgr::Transport transport(/*pooling_enabled=*/true);
+  smgr::Transport transport;
 
   smgr::StreamManager::Options opts0;
   opts0.container = 0;

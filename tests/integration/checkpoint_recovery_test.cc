@@ -399,7 +399,7 @@ TEST(CheckpointBarrierEdgeCases, BarrierParksBehindDataUnderBackpressure) {
   ASSERT_EQ(*physical->ContainerOfTask(1), 1);  // Bolt (straggler side).
 
   SimClock clock(0);
-  smgr::Transport transport(/*pooling_enabled=*/true);
+  smgr::Transport transport;
   statemgr::InMemoryStateManager state;
   ASSERT_TRUE(state.Initialize(Config()).ok());
 

@@ -8,7 +8,9 @@
 
 #include <cstdio>
 
+#include "common/clock.h"
 #include "common/logging.h"
+#include "smgr/stream_manager.h"
 #include "workloads/word_count.h"
 
 namespace heron {
@@ -227,6 +229,95 @@ TEST_F(LocalClusterTest, SubmitRejectsUnknownSchedulerAndExecutionModes) {
     EXPECT_FALSE(cluster.running());
     EXPECT_EQ(cluster.num_live_containers(), 0);
   }
+}
+
+// Plan-swap hygiene for a removed container that is already dead: the
+// repack drops a hard-killed container X, so SwapPlan must stop expecting
+// X's heartbeats and tell every peer SMGR that X's backpressure episode is
+// over. Scale restarts the cluster's own survivors onto the new plan, so
+// their throttle state starts fresh either way; a probe SMGR registered on
+// the cluster transport stands for a peer that outlives the swap and must
+// hear the release.
+TEST_F(LocalClusterTest, ScaleDownForgetsDeadContainerAndReleasesItsThrottle) {
+  constexpr int64_t kMonitorIntervalMs = 100;
+  constexpr int kMissLimit = 3;
+  constexpr int64_t kCollectIntervalMs = 50;
+  constexpr ContainerId kVictim = 2;
+  constexpr ContainerId kProbe = 99;
+  Config config;
+  config.SetInt(config_keys::kNumContainersHint, 3);
+  config.SetBool(config_keys::kClusterStepMode, true);
+  config.SetInt(config_keys::kSchedulerMonitorIntervalMs, kMonitorIntervalMs);
+  config.SetInt(config_keys::kSchedulerMonitorMissLimit, kMissLimit);
+  config.SetInt(config_keys::kMetricsCollectIntervalMs, kCollectIntervalMs);
+  SimClock clock(0);
+  LocalCluster cluster(config, &clock);
+  workloads::WordSpout::Options spout_options;
+  spout_options.dictionary_size = 100;
+  spout_options.emit_limit = 50;
+  // One spout and two bolts round-robined over three containers: the
+  // second bolt (task 2) is container 2's only instance.
+  auto topology =
+      workloads::BuildWordCountTopology("wc-swap", 1, 2, spout_options);
+  ASSERT_TRUE(topology.ok());
+  ASSERT_TRUE(cluster.Submit(*topology).ok());
+  ASSERT_EQ(*cluster.physical_plan()->ContainerOfTask(2), kVictim);
+  const auto rounds = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      clock.AdvanceMillis(kCollectIntervalMs);
+      cluster.StepAll();
+      cluster.MonitorTick();
+    }
+  };
+  rounds(2);
+
+  smgr::StreamManager::Options probe_options;
+  probe_options.container = kProbe;
+  smgr::StreamManager probe(probe_options, cluster.physical_plan(),
+                            cluster.transport(), &clock);
+  ASSERT_TRUE(probe.StartStepMode().ok());
+
+  // 1. Container 2 starts a backpressure episode: every peer SMGR, the
+  //    probe included, takes a throttle ref for it.
+  proto::BackpressureMsg start;
+  start.initiator = kVictim;
+  start.retry_depth = 4096;
+  for (const ContainerId peer : {ContainerId{0}, ContainerId{1}, kProbe}) {
+    proto::Envelope env(proto::MessageType::kStartBackpressure,
+                        start.SerializeAsBuffer());
+    ASSERT_TRUE(cluster.transport()
+                    ->TrySend(smgr::Transport::SmgrEndpoint(peer), &env)
+                    .ok());
+  }
+  cluster.StepAll();
+  probe.loop()->RunOnce();
+  ASSERT_TRUE(probe.backpressure());
+  ASSERT_TRUE(cluster.GetContainer(1)->stream_manager()->backpressure());
+
+  // 2. It dies mid-episode; 3. the repack drops it before the monitor
+  //    declares the death.
+  ASSERT_TRUE(cluster.FailContainer(kVictim).ok());
+  ASSERT_TRUE(cluster.Scale("count", 1).ok());
+  ASSERT_EQ(cluster.current_packing_plan().FindContainer(kVictim), nullptr);
+
+  // 4. The release reached the peer, and no survivor is left throttled.
+  probe.loop()->RunOnce();
+  EXPECT_FALSE(probe.backpressure());
+  EXPECT_EQ(probe.remote_backpressure_initiators(), 0u);
+  for (const ContainerId survivor : {0, 1}) {
+    ASSERT_NE(cluster.GetContainer(survivor), nullptr);
+    EXPECT_FALSE(
+        cluster.GetContainer(survivor)->stream_manager()->backpressure());
+  }
+  // The monitor no longer expects container 2: well past interval ×
+  // miss-limit of silence, no death is recorded.
+  rounds(3 * kMissLimit * kMonitorIntervalMs / kCollectIntervalMs);
+  EXPECT_EQ(
+      cluster.recovery_metrics()->GetCounter("recovery.deaths")->value(), 0u);
+  EXPECT_EQ(cluster.num_live_containers(), 2);
+
+  probe.Stop();
+  ASSERT_TRUE(cluster.Kill().ok());
 }
 
 }  // namespace

@@ -55,7 +55,7 @@ TEST_F(StepModeTest, FullCycleDeterministic) {
   // Two identical universes must replay the same counters step for step.
   const auto run_universe = [this](int rounds) {
     SimClock clock(0);
-    smgr::Transport transport(/*pooling_enabled=*/true);
+    smgr::Transport transport;
 
     smgr::StreamManager::Options smgr_options;
     smgr_options.container = 0;
@@ -129,7 +129,7 @@ TEST_F(StepModeTest, FullCycleDeterministic) {
 
 TEST_F(StepModeTest, MaxSpoutPendingThrottlesInStepMode) {
   SimClock clock(0);
-  smgr::Transport transport(true);
+  smgr::Transport transport;
 
   smgr::StreamManager::Options smgr_options;
   smgr_options.container = 0;
@@ -162,7 +162,7 @@ TEST_F(StepModeTest, MaxSpoutPendingThrottlesInStepMode) {
 TEST_F(StepModeTest, CooperativeInlinePoolDeterministic) {
   const auto run_universe = [this](int rounds) {
     SimClock clock(0);
-    smgr::Transport transport(/*pooling_enabled=*/true);
+    smgr::Transport transport;
 
     runtime::TaskletPool::Options pool_options;
     pool_options.workers = 1;

@@ -2,86 +2,14 @@
 
 #include <gtest/gtest.h>
 
-#include "proto/messages.h"
+#include <vector>
 
 namespace heron {
 namespace serde {
 namespace {
 
-TEST(MessagePoolTest, ReusesReleasedObjects) {
-  MessagePool<proto::TupleDataMsg> pool(/*enabled=*/true);
-  proto::TupleDataMsg* first = pool.Acquire();
-  first->tuple_key = 42;
-  pool.Release(first);
-  proto::TupleDataMsg* second = pool.Acquire();
-  EXPECT_EQ(second, first);          // Same object back.
-  EXPECT_EQ(second->tuple_key, 0u);  // But cleared.
-  pool.Release(second);
-
-  const PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.allocations, 1u);
-  EXPECT_EQ(stats.reuses, 1u);
-  EXPECT_EQ(stats.returns, 2u);
-}
-
-TEST(MessagePoolTest, DisabledPoolAlwaysAllocates) {
-  MessagePool<proto::TupleDataMsg> pool(/*enabled=*/false);
-  proto::TupleDataMsg* first = pool.Acquire();
-  pool.Release(first);
-  pool.Release(pool.Acquire());
-  const PoolStats stats = pool.stats();
-  EXPECT_EQ(stats.allocations, 2u);
-  EXPECT_EQ(stats.reuses, 0u);
-  EXPECT_EQ(pool.idle_count(), 0u);
-}
-
-TEST(MessagePoolTest, MaxIdleCapsRetention) {
-  MessagePool<proto::TupleDataMsg> pool(/*enabled=*/true, /*max_idle=*/2);
-  std::vector<proto::TupleDataMsg*> objs;
-  for (int i = 0; i < 5; ++i) objs.push_back(pool.Acquire());
-  for (auto* obj : objs) pool.Release(obj);
-  EXPECT_EQ(pool.idle_count(), 2u);
-}
-
-TEST(MessagePoolTest, ReleaseNullIsNoop) {
-  MessagePool<proto::TupleDataMsg> pool;
-  pool.Release(nullptr);
-  EXPECT_EQ(pool.stats().returns, 0u);
-}
-
-TEST(PooledPtrTest, ReleasesOnDestruction) {
-  MessagePool<proto::TupleDataMsg> pool;
-  {
-    PooledPtr<proto::TupleDataMsg> ptr = AcquirePooled(&pool);
-    ptr->tuple_key = 7;
-    EXPECT_TRUE(static_cast<bool>(ptr));
-  }
-  EXPECT_EQ(pool.idle_count(), 1u);
-  EXPECT_EQ(pool.stats().returns, 1u);
-}
-
-TEST(PooledPtrTest, MoveTransfersOwnership) {
-  MessagePool<proto::TupleDataMsg> pool;
-  PooledPtr<proto::TupleDataMsg> a = AcquirePooled(&pool);
-  proto::TupleDataMsg* raw = a.get();
-  PooledPtr<proto::TupleDataMsg> b = std::move(a);
-  EXPECT_EQ(b.get(), raw);
-  EXPECT_FALSE(static_cast<bool>(a));  // NOLINT(bugprone-use-after-move)
-  b.reset();
-  EXPECT_EQ(pool.idle_count(), 1u);
-}
-
-TEST(PooledPtrTest, ReleaseDetaches) {
-  MessagePool<proto::TupleDataMsg> pool;
-  PooledPtr<proto::TupleDataMsg> ptr = AcquirePooled(&pool);
-  proto::TupleDataMsg* raw = ptr.release();
-  EXPECT_FALSE(static_cast<bool>(ptr));
-  EXPECT_EQ(pool.stats().returns, 0u);
-  delete raw;  // Caller owns after release().
-}
-
 TEST(BufferPoolTest, RecyclesCapacity) {
-  BufferPool pool(/*enabled=*/true);
+  BufferPool pool;
   Buffer buffer = pool.Acquire();
   buffer.reserve(4096);
   const size_t capacity = buffer.capacity();
@@ -92,16 +20,8 @@ TEST(BufferPoolTest, RecyclesCapacity) {
   EXPECT_EQ(pool.stats().reuses, 1u);
 }
 
-TEST(BufferPoolTest, DisabledAllocatesFresh) {
-  BufferPool pool(/*enabled=*/false);
-  pool.Release(pool.Acquire());
-  pool.Release(pool.Acquire());
-  EXPECT_EQ(pool.stats().allocations, 2u);
-  EXPECT_EQ(pool.stats().reuses, 0u);
-}
-
 TEST(BufferPoolTest, MaxIdleCapsRetentionAndCountsEvictions) {
-  BufferPool pool(/*enabled=*/true, /*max_idle=*/2);
+  BufferPool pool(/*max_idle=*/2);
   std::vector<Buffer> out;
   for (int i = 0; i < 5; ++i) out.push_back(pool.Acquire());
   for (auto& b : out) pool.Release(std::move(b));
@@ -113,8 +33,8 @@ TEST(BufferPoolTest, MaxIdleCapsRetentionAndCountsEvictions) {
 TEST(BufferPoolTest, RetainedBytesBudgetBoundsFreelist) {
   // 3 × 4KB fits an 8KB budget only twice: the third release is evicted
   // even though the idle-count cap has room.
-  BufferPool pool(/*enabled=*/true, /*max_idle=*/64,
-                  /*max_retained_bytes=*/8192, /*max_buffer_bytes=*/1u << 20);
+  BufferPool pool(/*max_idle=*/64, /*max_retained_bytes=*/8192,
+                  /*max_buffer_bytes=*/1u << 20);
   std::vector<Buffer> out;
   for (int i = 0; i < 3; ++i) {
     Buffer b = pool.Acquire();
@@ -133,8 +53,7 @@ TEST(BufferPoolTest, RetainedBytesBudgetBoundsFreelist) {
 TEST(BufferPoolTest, OversizeBuffersAreNeverRetained) {
   // A buffer that ballooned past max_buffer_bytes must not poison the
   // freelist (it would hand every future sender a giant allocation).
-  BufferPool pool(/*enabled=*/true, /*max_idle=*/64,
-                  /*max_retained_bytes=*/64u << 20,
+  BufferPool pool(/*max_idle=*/64, /*max_retained_bytes=*/64u << 20,
                   /*max_buffer_bytes=*/4096);
   Buffer big = pool.Acquire();
   big.reserve(1u << 20);
@@ -148,7 +67,7 @@ TEST(BufferPoolTest, OversizeBuffersAreNeverRetained) {
 }
 
 TEST(BufferPoolTest, HighWaterTracksPeakIdleDepth) {
-  BufferPool pool(/*enabled=*/true, /*max_idle=*/16);
+  BufferPool pool(/*max_idle=*/16);
   std::vector<Buffer> out;
   for (int i = 0; i < 6; ++i) out.push_back(pool.Acquire());
   for (auto& b : out) pool.Release(std::move(b));
@@ -162,7 +81,7 @@ TEST(BufferPoolTest, HighWaterTracksPeakIdleDepth) {
 }
 
 TEST(BufferPoolTest, SteadyStateStopsAllocating) {
-  BufferPool pool(/*enabled=*/true);
+  BufferPool pool;
   // Warm with 8 buffers, then churn: no further allocations.
   std::vector<Buffer> warm;
   for (int i = 0; i < 8; ++i) warm.push_back(pool.Acquire());

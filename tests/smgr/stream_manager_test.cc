@@ -1,12 +1,14 @@
-// Stream Manager routing tests, single-stepped (no SMGR thread): the
-// §V-A optimized and ablated paths must route identically, acks must
-// close tuple trees, and back pressure must engage without blocking.
+// Stream Manager routing tests, single-stepped (no SMGR thread): every
+// grouping must pick exactly the destinations api::Router picks, acks
+// must close tuple trees, and back pressure must engage without blocking.
 
 #include "smgr/stream_manager.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <set>
 
 #include "common/logging.h"
 #include "packing/round_robin_packing.h"
@@ -18,7 +20,7 @@ namespace {
 
 /// 2 spouts + 2 bolts over 2 containers: tasks 0,1 = spouts ("word"),
 /// tasks 2,3 = bolts ("count"); RR puts {0,2} in c0 and {1,3} in c1.
-class StreamManagerTest : public ::testing::TestWithParam<bool> {
+class StreamManagerTest : public ::testing::Test {
  protected:
   void SetUp() override {
     heron::Logging::SetLevel(heron::LogLevel::kError);
@@ -59,7 +61,6 @@ class StreamManagerTest : public ::testing::TestWithParam<bool> {
   StreamManager::Options BaseOptions(bool acking = false) {
     StreamManager::Options options;
     options.container = 0;
-    options.optimizations = GetParam();
     options.acking = acking;
     return options;
   }
@@ -103,8 +104,8 @@ class StreamManagerTest : public ::testing::TestWithParam<bool> {
   std::shared_ptr<const proto::PhysicalPlan> physical_;
 };
 
-TEST_P(StreamManagerTest, RoutesFieldsGroupingToBothContainers) {
-  Transport transport(GetParam());
+TEST_F(StreamManagerTest, RoutesFieldsGroupingToBothContainers) {
+  Transport transport;
   StreamManager smgr(BaseOptions(), physical_, &transport,
                      RealClock::Get());
   EnvelopeChannel bolt2(64), remote_smgr(64);
@@ -138,8 +139,8 @@ TEST_P(StreamManagerTest, RoutesFieldsGroupingToBothContainers) {
   EXPECT_EQ(smgr.cache_stats().tuples_added, words.size());
 }
 
-TEST_P(StreamManagerTest, SameWordAlwaysSameDestination) {
-  Transport transport(GetParam());
+TEST_F(StreamManagerTest, SameWordAlwaysSameDestination) {
+  Transport transport;
   StreamManager smgr(BaseOptions(), physical_, &transport,
                      RealClock::Get());
   EnvelopeChannel bolt2(256), remote_smgr(256);
@@ -156,8 +157,8 @@ TEST_P(StreamManagerTest, SameWordAlwaysSameDestination) {
   EXPECT_TRUE((local > 0) != (remote > 0));
 }
 
-TEST_P(StreamManagerTest, TransitBatchDeliveredToLocalInstance) {
-  Transport transport(GetParam());
+TEST_F(StreamManagerTest, TransitBatchDeliveredToLocalInstance) {
+  Transport transport;
   StreamManager smgr(BaseOptions(), physical_, &transport,
                      RealClock::Get());
   EnvelopeChannel bolt2(64);
@@ -178,8 +179,8 @@ TEST_P(StreamManagerTest, TransitBatchDeliveredToLocalInstance) {
   EXPECT_EQ(delivered.at(2), std::vector<std::string>{"transit"});
 }
 
-TEST_P(StreamManagerTest, TransitBatchForwardedToOwningContainer) {
-  Transport transport(GetParam());
+TEST_F(StreamManagerTest, TransitBatchForwardedToOwningContainer) {
+  Transport transport;
   StreamManager smgr(BaseOptions(), physical_, &transport,
                      RealClock::Get());
   EnvelopeChannel remote_smgr(64);
@@ -199,13 +200,11 @@ TEST_P(StreamManagerTest, TransitBatchForwardedToOwningContainer) {
   EXPECT_EQ(*proto::PeekDestTask(env->payload), 3);
 }
 
-TEST_P(StreamManagerTest, AddressedEnvelopesForwardWithoutPayloadTouches) {
+TEST_F(StreamManagerTest, AddressedEnvelopesForwardWithoutPayloadTouches) {
   // The zero-copy invariant at unit scale: a routed batch whose Envelope
   // carries dest_task (as every SMGR-emitted envelope does) must be
-  // forwarded on metadata alone when optimizations are on. The ablation
-  // build must touch payloads — that asymmetry is what the paper's
-  // "without optimizations" bars measure.
-  Transport transport(GetParam());
+  // forwarded on metadata alone.
+  Transport transport;
   StreamManager smgr(BaseOptions(), physical_, &transport,
                      RealClock::Get());
   EnvelopeChannel bolt2(64), remote_smgr(64);
@@ -228,13 +227,8 @@ TEST_P(StreamManagerTest, AddressedEnvelopesForwardWithoutPayloadTouches) {
   smgr.ProcessEnvelope(addressed(2));  // Local delivery.
   smgr.ProcessEnvelope(addressed(3));  // Forward to container 1.
 
-  const uint64_t touches =
-      smgr.metrics()->GetCounter("smgr.payload_touches")->value();
-  if (GetParam()) {
-    EXPECT_EQ(touches, 0u);
-  } else {
-    EXPECT_GT(touches, 0u);
-  }
+  EXPECT_EQ(smgr.metrics()->GetCounter("smgr.payload_touches")->value(),
+            0u);
   EXPECT_EQ(bolt2.size(), 1u);
   EXPECT_EQ(remote_smgr.size(), 1u);
   // Forwarded envelopes stay addressed, so the next hop is zero-copy too.
@@ -243,10 +237,10 @@ TEST_P(StreamManagerTest, AddressedEnvelopesForwardWithoutPayloadTouches) {
   EXPECT_EQ(env->dest_task, 3);
 }
 
-TEST_P(StreamManagerTest, UnaddressedEnvelopeFallsBackToPeek) {
+TEST_F(StreamManagerTest, UnaddressedEnvelopeFallsBackToPeek) {
   // Compatibility path: an envelope with dest_task unset still routes —
   // via a counted payload peek.
-  Transport transport(GetParam());
+  Transport transport;
   StreamManager smgr(BaseOptions(), physical_, &transport,
                      RealClock::Get());
   EnvelopeChannel bolt2(64);
@@ -265,8 +259,8 @@ TEST_P(StreamManagerTest, UnaddressedEnvelopeFallsBackToPeek) {
   EXPECT_GT(smgr.metrics()->GetCounter("smgr.payload_touches")->value(), 0u);
 }
 
-TEST_P(StreamManagerTest, AckLifecycleCompletesRoot) {
-  Transport transport(GetParam());
+TEST_F(StreamManagerTest, AckLifecycleCompletesRoot) {
+  Transport transport;
   StreamManager smgr(BaseOptions(/*acking=*/true), physical_, &transport,
                      RealClock::Get());
   EnvelopeChannel spout0(64), bolt2(64), remote_smgr(64);
@@ -295,10 +289,10 @@ TEST_P(StreamManagerTest, AckLifecycleCompletesRoot) {
   EXPECT_FALSE(envelopes[0][0].fail);
 }
 
-TEST_P(StreamManagerTest, AckBatchShipsOneRootEventEnvelopePerSpoutTask) {
+TEST_F(StreamManagerTest, AckBatchShipsOneRootEventEnvelopePerSpoutTask) {
   // Both spout tasks (0, 1) live in this SMGR's container here.
   const auto plan = PackWordCount(/*containers=*/1);
-  Transport transport(GetParam());
+  Transport transport;
   StreamManager smgr(BaseOptions(/*acking=*/true), plan, &transport,
                      RealClock::Get());
   EnvelopeChannel spout0(64), spout1(64), bolt2(64), bolt3(64);
@@ -343,10 +337,10 @@ TEST_P(StreamManagerTest, AckBatchShipsOneRootEventEnvelopePerSpoutTask) {
   EXPECT_EQ(smgr.metrics()->GetCounter("smgr.roots.failed")->value(), 1u);
 }
 
-TEST_P(StreamManagerTest, ExpiryPassShipsOneRootEventEnvelopePerSpoutTask) {
+TEST_F(StreamManagerTest, ExpiryPassShipsOneRootEventEnvelopePerSpoutTask) {
   const auto plan = PackWordCount(/*containers=*/1);
   VirtualClock clock;
-  Transport transport(GetParam());
+  Transport transport;
   StreamManager::Options options = BaseOptions(/*acking=*/true);
   options.message_timeout_ms = 10;
   StreamManager smgr(options, plan, &transport, &clock);
@@ -378,8 +372,8 @@ TEST_P(StreamManagerTest, ExpiryPassShipsOneRootEventEnvelopePerSpoutTask) {
   EXPECT_EQ(smgr.metrics()->GetCounter("smgr.roots.timeout")->value(), 200u);
 }
 
-TEST_P(StreamManagerTest, AckBatchForRemoteSpoutForwarded) {
-  Transport transport(GetParam());
+TEST_F(StreamManagerTest, AckBatchForRemoteSpoutForwarded) {
+  Transport transport;
   StreamManager smgr(BaseOptions(/*acking=*/true), physical_, &transport,
                      RealClock::Get());
   EnvelopeChannel remote_smgr(64);
@@ -393,9 +387,9 @@ TEST_P(StreamManagerTest, AckBatchForRemoteSpoutForwarded) {
   EXPECT_EQ(remote_smgr.size(), 1u);
 }
 
-TEST_P(StreamManagerTest, ExpiredRootsFailBackToSpout) {
+TEST_F(StreamManagerTest, ExpiredRootsFailBackToSpout) {
   VirtualClock clock;
-  Transport transport(GetParam());
+  Transport transport;
   StreamManager::Options options = BaseOptions(/*acking=*/true);
   options.message_timeout_ms = 10;
   StreamManager smgr(options, physical_, &transport, &clock);
@@ -414,8 +408,8 @@ TEST_P(StreamManagerTest, ExpiredRootsFailBackToSpout) {
   EXPECT_TRUE(envelopes[0][0].fail);
 }
 
-TEST_P(StreamManagerTest, FullChannelParksAndSetsBackpressure) {
-  Transport transport(GetParam());
+TEST_F(StreamManagerTest, FullChannelParksAndSetsBackpressure) {
+  Transport transport;
   StreamManager::Options options = BaseOptions();
   options.backpressure_high_water = 2;
   StreamManager smgr(options, physical_, &transport, RealClock::Get());
@@ -449,8 +443,8 @@ TEST_P(StreamManagerTest, FullChannelParksAndSetsBackpressure) {
 // on the same channel. The old TrySendOrPark attempted a direct send even
 // when older envelopes for the channel sat in the retry queue, so the
 // moment the receiver freed one slot a *new* envelope could jump it.
-TEST_P(StreamManagerTest, ParkedChannelPreservesFifoOrder) {
-  Transport transport(GetParam());
+TEST_F(StreamManagerTest, ParkedChannelPreservesFifoOrder) {
+  Transport transport;
   StreamManager smgr(BaseOptions(), physical_, &transport, RealClock::Get());
   EnvelopeChannel tiny(1);
   ASSERT_TRUE(transport.RegisterInstance(2, &tiny).ok());
@@ -492,9 +486,9 @@ TEST_P(StreamManagerTest, ParkedChannelPreservesFifoOrder) {
 // Hysteresis: the episode trips above the high watermark and holds until
 // the backlog drains to the low watermark — the flag cannot flap while
 // the depth oscillates between the two.
-TEST_P(StreamManagerTest, BackpressureHysteresisAndEpisodeMetrics) {
+TEST_F(StreamManagerTest, BackpressureHysteresisAndEpisodeMetrics) {
   VirtualClock clock;
-  Transport transport(GetParam());
+  Transport transport;
   StreamManager::Options options = BaseOptions();
   options.backpressure_high_water = 4;
   options.backpressure_low_water = 2;
@@ -551,8 +545,8 @@ TEST_P(StreamManagerTest, BackpressureHysteresisAndEpisodeMetrics) {
 // The control plane: tripping broadcasts kStartBackpressure to every
 // registered peer, clearing broadcasts kStopBackpressure; receiving those
 // messages raises/releases a ref-counted throttle.
-TEST_P(StreamManagerTest, BackpressureBroadcastAndReceive) {
-  Transport transport(GetParam());
+TEST_F(StreamManagerTest, BackpressureBroadcastAndReceive) {
+  Transport transport;
   StreamManager::Options options = BaseOptions();
   options.backpressure_high_water = 2;
   StreamManager smgr(options, physical_, &transport, RealClock::Get());
@@ -620,79 +614,174 @@ TEST_P(StreamManagerTest, BackpressureBroadcastAndReceive) {
   smgr.Stop();
 }
 
-INSTANTIATE_TEST_SUITE_P(OptimizationToggle, StreamManagerTest,
-                         ::testing::Values(true, false),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "optimized" : "ablated";
-                         });
+/// One bolt per grouping kind, four tasks each, all in one container:
+/// task 0 is the spout "src" emitting (word, n); "shuffle" holds tasks
+/// 1-4, "fields" 5-8, "global" 9-12, "all" 13-16 and "custom" 17-20.
+class StreamManagerGroupingTest : public ::testing::Test {
+ protected:
+  static constexpr int kTuples = 200;
+  static constexpr int kSinkTasks = 4;
+  /// Per consumer component: word → destination tasks, ascending.
+  using Picks =
+      std::map<ComponentId, std::map<std::string, std::vector<TaskId>>>;
 
-/// The central §V-A safety property: the optimized (lazy) and ablated
-/// (eager) Stream Managers route every tuple to the same destination.
-TEST(StreamManagerEquivalenceTest, LazyAndEagerRouteIdentically) {
-  heron::Logging::SetLevel(heron::LogLevel::kError);
-  auto topology = workloads::BuildWordCountTopology("equiv", 2, 8);
-  ASSERT_TRUE(topology.ok());
-  packing::RoundRobinPacking packer;
-  ASSERT_TRUE(packer.Initialize(Config(), *topology).ok());
-  auto plan = packer.Pack();
-  ASSERT_TRUE(plan.ok());
-  auto physical = *proto::PhysicalPlan::Build(*topology, *plan);
+  static void SetUpTestSuite() {
+    heron::Logging::SetLevel(heron::LogLevel::kFatal);
+  }
 
-  const auto route_words = [&](bool optimized) {
-    Transport transport(optimized);
-    StreamManager::Options options;
-    options.container = 0;
-    options.optimizations = optimized;
-    StreamManager smgr(options, physical, &transport, RealClock::Get());
-    // Register every bolt channel locally; remote containers get stub
-    // SMGR channels whose contents we also unpack.
-    std::vector<std::unique_ptr<EnvelopeChannel>> channels;
-    for (const TaskId t : physical->all_tasks()) {
-      channels.push_back(std::make_unique<EnvelopeChannel>(1024));
-      transport.RegisterInstance(t, channels.back().get()).ok();
+  static api::Values TupleValues(int n) {
+    return {api::Value("word-" + std::to_string(n)),
+            api::Value(int64_t{n})};
+  }
+
+  static std::shared_ptr<const proto::PhysicalPlan> Plan(
+      api::CustomGroupingFn custom) {
+    const auto none = [] { return nullptr; };
+    api::TopologyBuilder b("groupings");
+    b.SetSpout("src", none, 1).OutputFields({"word", "n"});
+    b.SetBolt("shuffle", none, kSinkTasks).ShuffleGrouping("src");
+    b.SetBolt("fields", none, kSinkTasks).FieldsGrouping("src", {"word"});
+    b.SetBolt("global", none, kSinkTasks).GlobalGrouping("src");
+    b.SetBolt("all", none, kSinkTasks).AllGrouping("src");
+    b.SetBolt("custom", none, kSinkTasks)
+        .CustomGrouping("src", std::move(custom));
+    auto topology = b.Build();
+    EXPECT_TRUE(topology.ok()) << topology.status().ToString();
+    packing::RoundRobinPacking packer;
+    Config config;
+    config.SetInt(config_keys::kNumContainersHint, 1);
+    EXPECT_TRUE(packer.Initialize(config, *topology).ok());
+    auto packed = packer.Pack();
+    EXPECT_TRUE(packed.ok());
+    return *proto::PhysicalPlan::Build(*topology, *packed);
+  }
+
+  static const proto::PhysicalPlan::Subscription& SubscriptionOf(
+      const proto::PhysicalPlan& plan, const ComponentId& consumer) {
+    const auto& subs = plan.SubscribersOf("src", kDefaultStreamId);
+    return *std::find_if(subs.begin(), subs.end(), [&](const auto& sub) {
+      return sub.consumer == consumer;
+    });
+  }
+
+  /// Routes one kTuples-tuple instance batch from the spout through a
+  /// fresh SMGR and unpacks where every tuple landed.
+  static Picks RouteThroughSmgr(
+      const std::shared_ptr<const proto::PhysicalPlan>& plan) {
+    Transport transport;
+    StreamManager smgr(StreamManager::Options(), plan, &transport,
+                       RealClock::Get());
+    std::map<TaskId, std::unique_ptr<EnvelopeChannel>> sinks;
+    for (const TaskId task : plan->all_tasks()) {
+      sinks[task] = std::make_unique<EnvelopeChannel>(kTuples);
+      EXPECT_TRUE(transport.RegisterInstance(task, sinks[task].get()).ok());
     }
-    std::vector<std::unique_ptr<EnvelopeChannel>> smgrs;
-    for (int c = 1; c < physical->num_containers(); ++c) {
-      smgrs.push_back(std::make_unique<EnvelopeChannel>(1024));
-      transport.RegisterSmgr(c, smgrs.back().get()).ok();
-    }
-
     proto::TupleBatchMsg batch;
     batch.src_task = 0;
-    batch.dest_task = -1;
-    batch.src_component = "word";
-    for (int i = 0; i < 200; ++i) {
+    batch.src_component = "src";
+    for (int n = 0; n < kTuples; ++n) {
       proto::TupleDataMsg msg;
-      msg.values.emplace_back("word-" + std::to_string(i));
+      msg.values = TupleValues(n);
       batch.tuples.push_back(msg.SerializeAsBuffer());
     }
     smgr.ProcessEnvelope(proto::Envelope(proto::MessageType::kTupleBatch,
                                          batch.SerializeAsBuffer()));
     smgr.DrainCacheNow();
 
-    // Destination per word, regardless of which channel it landed on.
-    std::map<std::string, TaskId> destinations;
-    const auto unpack = [&destinations](EnvelopeChannel* channel) {
-      while (auto env = channel->TryRecv()) {
+    Picks picks;
+    uint64_t delivered = 0;
+    for (const auto& [task, sink] : sinks) {
+      while (auto env = sink->TryRecv()) {
         proto::TupleBatchMsg routed;
-        ASSERT_TRUE(routed.ParseFromBytes(env->payload).ok());
+        EXPECT_TRUE(routed.ParseFromBytes(env->payload).ok());
+        EXPECT_EQ(routed.dest_task, task);
+        delivered += routed.tuples.size();
         for (const auto& tuple_bytes : routed.tuples) {
           proto::TupleDataMsg msg;
-          ASSERT_TRUE(msg.ParseFromBytes(tuple_bytes).ok());
-          destinations[std::get<std::string>(msg.values[0])] =
-              routed.dest_task;
+          EXPECT_TRUE(msg.ParseFromBytes(tuple_bytes).ok());
+          picks[plan->ComponentOfTask(task)->id]
+               [std::get<std::string>(msg.values[0])]
+                   .push_back(task);
         }
       }
-    };
-    for (auto& channel : channels) unpack(channel.get());
-    for (auto& channel : smgrs) unpack(channel.get());
-    return destinations;
-  };
+    }
+    // Every pick the SMGR routed reached a sink, and only subscribers'
+    // sinks: no pick named a task outside the edge.
+    EXPECT_EQ(smgr.metrics()->GetCounter("smgr.tuples.routed")->value(),
+              delivered);
+    std::set<ComponentId> reached;
+    for (auto& [component, by_word] : picks) {
+      reached.insert(component);
+      for (auto& [word, tasks] : by_word) {
+        std::sort(tasks.begin(), tasks.end());
+      }
+    }
+    EXPECT_EQ(reached, (std::set<ComponentId>{"all", "custom", "fields",
+                                              "global", "shuffle"}));
+    return picks;
+  }
+};
 
-  const auto lazy = route_words(true);
-  const auto eager = route_words(false);
-  ASSERT_EQ(lazy.size(), 200u);
-  EXPECT_EQ(lazy, eager);
+/// The one routing path: for every grouping kind, the SMGR — working on
+/// serialized bytes — delivers each tuple to exactly the tasks
+/// api::Router picks from the decoded values.
+TEST_F(StreamManagerGroupingTest, EveryGroupingPicksWhatTheRouterPicks) {
+  // n mod #tasks, plus the next task for even n: fans out on half.
+  const auto plan = Plan([](const api::Values& values, int num_tasks) {
+    const int n = static_cast<int>(std::get<int64_t>(values[1]));
+    std::vector<int> picks{n % num_tasks};
+    if (n % 2 == 0) picks.push_back((n + 1) % num_tasks);
+    return picks;
+  });
+  const Picks got = RouteThroughSmgr(plan);
+
+  const api::Fields& schema =
+      *plan->topology().OutputSchema("src", kDefaultStreamId);
+  for (const char* component : {"fields", "global", "all", "custom"}) {
+    const auto& sub = SubscriptionOf(*plan, component);
+    api::Router router(sub.spec.grouping, schema, sub.spec.grouping_fields,
+                       sub.consumer_tasks, /*seed=*/1, sub.spec.custom_fn);
+    ASSERT_EQ(got.count(component), 1u) << component;
+    const auto& by_word = got.at(component);
+    EXPECT_EQ(by_word.size(), static_cast<size_t>(kTuples)) << component;
+    for (int n = 0; n < kTuples; ++n) {
+      const api::Values values = TupleValues(n);
+      std::vector<TaskId> want;
+      router.Route(values, &want);
+      std::sort(want.begin(), want.end());
+      const auto it = by_word.find(std::get<std::string>(values[0]));
+      ASSERT_NE(it, by_word.end()) << component << " lost tuple " << n;
+      EXPECT_EQ(it->second, want) << component << " tuple " << n;
+    }
+  }
+
+  // Shuffle: one sink per tuple, every sink used, and the per-edge seed
+  // makes a rerun pick identically.
+  ASSERT_EQ(got.count("shuffle"), 1u);
+  const auto& shuffled = got.at("shuffle");
+  EXPECT_EQ(shuffled.size(), static_cast<size_t>(kTuples));
+  std::set<TaskId> used;
+  for (const auto& [word, tasks] : shuffled) {
+    ASSERT_EQ(tasks.size(), 1u) << word;
+    used.insert(tasks[0]);
+  }
+  EXPECT_EQ(used.size(), static_cast<size_t>(kSinkTasks));
+  EXPECT_EQ(RouteThroughSmgr(plan).at("shuffle"), shuffled);
+}
+
+/// A custom grouping's picks come from user code: the out-of-range ones
+/// are dropped (and logged), the valid one is delivered, nothing aborts.
+TEST_F(StreamManagerGroupingTest, CustomGroupingDropsOutOfRangePicks) {
+  const auto plan = Plan([](const api::Values&, int num_tasks) {
+    return std::vector<int>{-1, num_tasks, 1, num_tasks + 7};
+  });
+  const Picks got = RouteThroughSmgr(plan);
+  const TaskId second = SubscriptionOf(*plan, "custom").consumer_tasks[1];
+  ASSERT_EQ(got.count("custom"), 1u);
+  EXPECT_EQ(got.at("custom").size(), static_cast<size_t>(kTuples));
+  for (const auto& [word, tasks] : got.at("custom")) {
+    EXPECT_EQ(tasks, std::vector<TaskId>{second}) << word;
+  }
 }
 
 }  // namespace

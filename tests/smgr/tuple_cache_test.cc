@@ -20,7 +20,7 @@ serde::Buffer TupleBytes(const std::string& word) {
 
 class TupleCacheTest : public ::testing::Test {
  protected:
-  serde::BufferPool pool_{true};
+  serde::BufferPool pool_;
 };
 
 TEST_F(TupleCacheTest, DrainedBatchesParseWithCorrectHeaders) {
