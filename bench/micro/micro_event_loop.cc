@@ -1,18 +1,24 @@
 // Microbenchmarks of the §II reactor kernel: per-iteration stepping cost,
-// cross-thread wakeup latency through a parked loop, and timer-fire jitter.
-// These bound the fixed overhead every module loop (SMGR, instance, Storm
-// baseline) pays on top of its actual envelope work.
+// the cost of an idle cooperative drive, cross-thread wakeup latency
+// through a parked loop, and timer-fire jitter. These bound the fixed
+// overhead every module loop (SMGR, instance) pays on top of its actual
+// envelope work.
 
 #include <benchmark/benchmark.h>
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
+#include <string>
 #include <thread>
+#include <vector>
 
 #include "common/clock.h"
 #include "ipc/channel.h"
+#include "metrics/metrics.h"
 #include "proto/messages.h"
 #include "runtime/event_loop.h"
+#include "runtime/tasklet.h"
 
 namespace heron {
 namespace {
@@ -56,6 +62,49 @@ void BM_RunOnceOneEnvelope(benchmark::State& state) {
   loop.Shutdown();
 }
 BENCHMARK(BM_RunOnceOneEnvelope);
+
+/// One inline TaskletPool pass over N idle tasklets on the real clock, each
+/// loop built like a sink instance's: its own metrics registry (so loop
+/// busy accounting runs) and one inbound channel, with no traffic. This is
+/// the fixed price of one drive that finds nothing to do, which the slice
+/// step cap trades against per-pass payload; `ns_per_drive` divides the
+/// pass by N. BM_RunOnceEmpty has neither registry nor clock and reads far
+/// lower.
+void BM_IdleTaskletPass(benchmark::State& state) {
+  const int loops = static_cast<int>(state.range(0));
+  const Clock* clock = RealClock::Get();
+  runtime::TaskletPool::Options pool_options;
+  pool_options.workers = 1;
+  pool_options.threaded = false;
+  runtime::TaskletPool pool(pool_options, clock);
+  std::vector<std::unique_ptr<metrics::MetricsRegistry>> registries;
+  std::vector<std::unique_ptr<ipc::Channel<proto::Envelope>>> channels;
+  std::vector<std::unique_ptr<runtime::EventLoop>> members;
+  for (int i = 0; i < loops; ++i) {
+    registries.push_back(std::make_unique<metrics::MetricsRegistry>());
+    channels.push_back(std::make_unique<ipc::Channel<proto::Envelope>>(1024));
+    runtime::EventLoop::Options options;
+    options.name = "sink-" + std::to_string(i);
+    options.burst = 256;
+    options.registry = registries.back().get();
+    options.metric_prefix = "instance";
+    members.push_back(std::make_unique<runtime::EventLoop>(options, clock));
+    members.back()->AddChannel<proto::Envelope>(channels.back().get(),
+                                                [](proto::Envelope&&) {});
+    pool.Add(members.back().get());
+  }
+  const int64_t start = clock->NowNanos();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pool.DriveAll());
+  }
+  const int64_t elapsed = clock->NowNanos() - start;
+  state.counters["ns_per_drive"] = benchmark::Counter(
+      static_cast<double>(elapsed) /
+      static_cast<double>(state.iterations() * static_cast<uint64_t>(loops)));
+  for (auto& channel : channels) channel->Close();
+  pool.DriveAll();  // Observe closed-and-drained: shutdown hooks run.
+}
+BENCHMARK(BM_IdleTaskletPass)->Arg(9);
 
 /// Timer arm + fire round-trip under SimClock: heap push, clock advance,
 /// pop-and-dispatch. Measures the timer path that the SMGR cache-drain

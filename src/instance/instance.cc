@@ -475,7 +475,15 @@ void HeronInstance::HandleBarrier(const serde::Buffer& payload) {
     return;
   }
   if (msg.kind == proto::CheckpointBarrierMsg::kAbort) {
-    if (aligning_ckpt_ != 0) AbortAlignment();
+    // kAbort(n) ends an alignment of checkpoint n or an older one (the
+    // fence below makes every remaining barrier of those stale), never
+    // one of a newer checkpoint. Fencing n keeps a straggler barrier of
+    // the aborted checkpoint from opening an alignment that can never
+    // complete.
+    if (aligning_ckpt_ != 0 && aligning_ckpt_ <= msg.ckpt_id) {
+      AbortAlignment();
+    }
+    last_ckpt_done_ = std::max(last_ckpt_done_, msg.ckpt_id);
     return;
   }
   if (msg.kind != proto::CheckpointBarrierMsg::kBarrier) return;

@@ -232,8 +232,11 @@ class BackpressureMsg final : public serde::Message {
 ///  - **kBarrier** with envelope dest_task >= 0, SMGR → SMGR → instance:
 ///    the in-stream barrier itself; `origin_task` names the upstream
 ///    channel it closes for alignment purposes.
-///  - **kAbort**: coordinator-initiated cancellation (a barrier died with
-///    a killed container); aligning bolts release their buffers.
+///  - **kAbort**: coordinator-initiated cancellation of `ckpt_id` (a
+///    barrier died with a killed container). A bolt aligning that
+///    checkpoint, or an older one, releases its buffers; an alignment of
+///    a newer checkpoint is left alone. The id is fenced: later barriers
+///    of it, or of any older checkpoint, are stale and dropped.
 ///
 /// Field layout: 1 ckpt_id varint, 2 origin_task zigzag, 3 kind varint.
 class CheckpointBarrierMsg final : public serde::Message {

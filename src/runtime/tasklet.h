@@ -64,8 +64,13 @@ struct TaskletOptions {
   /// check cannot be the only slice bound: under a virtual clock time
   /// never advances inside Drive(), and idle-worker progress (a spout's
   /// NextTuple runs once per step, not once per burst) must still be
-  /// sliced fairly against source-burst progress.
-  size_t max_steps_per_slice = 64;
+  /// sliced fairly against source-burst progress. The cap is the batch
+  /// size of a producing slice: every step a spout keeps making progress
+  /// adds one NextTuple round that its consumers on the same worker wait
+  /// behind. 8 steps keep a pass's payload small enough to stay in cache
+  /// (64 let ~500 one-KiB tuples through before any consumer ran) while
+  /// a slice still spreads the fixed cost of a drive over several rounds.
+  size_t max_steps_per_slice = 8;
 };
 
 /// \brief One cooperatively-scheduled module loop: an EventLoop driven in
@@ -80,9 +85,10 @@ struct TaskletOptions {
 /// guessed: multiplicative decrease when a step overruns the bound,
 /// additive increase otherwise, plus a predictive per-tuple-cost clamp
 /// so the overrun case is the exception, not the steady state. Idle-worker
-/// progress (a spout's NextTuple) happens once per step, which is why a
-/// slice is many steps: one step per pass would let a burst-drained
-/// consumer starve its producer of offered load. Everything here runs on
+/// progress (a spout's NextTuple) happens once per step, so a slice is a
+/// few steps: one step per pass would let a burst-drained consumer starve
+/// its producer of offered load, and many steps per pass would make the
+/// consumer wait behind one long production run. Everything here runs on
 /// one driving thread at a time — the pool's per-handle mutex enforces
 /// that.
 class Tasklet {

@@ -11,6 +11,8 @@
 
 #include "common/logging.h"
 #include "packing/round_robin_packing.h"
+#include "smgr/ack_tracker.h"
+#include "statemgr/in_memory_state_manager.h"
 #include "workloads/word_count.h"
 
 namespace heron {
@@ -26,17 +28,23 @@ class InstanceTest : public ::testing::Test {
     auto topology = workloads::BuildWordCountTopology("inst-test", 1, 1,
                                                       spout_options);
     ASSERT_TRUE(topology.ok());
-    packing::RoundRobinPacking packer;
-    Config config;
-    config.SetInt(config_keys::kNumContainersHint, 1);
-    ASSERT_TRUE(packer.Initialize(config, *topology).ok());
-    auto plan = packer.Pack();
-    ASSERT_TRUE(plan.ok());
-    physical_ = *proto::PhysicalPlan::Build(*topology, *plan);
+    physical_ = PlanFor(*topology);
 
     transport_ = std::make_unique<smgr::Transport>();
     smgr_inbound_ = std::make_unique<smgr::EnvelopeChannel>(1 << 14);
     ASSERT_TRUE(transport_->RegisterSmgr(0, smgr_inbound_.get()).ok());
+  }
+
+  /// Packs `topology` into one container.
+  static std::shared_ptr<const proto::PhysicalPlan> PlanFor(
+      const std::shared_ptr<const api::Topology>& topology) {
+    packing::RoundRobinPacking packer;
+    Config config;
+    config.SetInt(config_keys::kNumContainersHint, 1);
+    EXPECT_TRUE(packer.Initialize(config, topology).ok());
+    auto plan = packer.Pack();
+    EXPECT_TRUE(plan.ok());
+    return *proto::PhysicalPlan::Build(topology, *plan);
   }
 
   /// Waits until `predicate` or the deadline.
@@ -135,19 +143,13 @@ TEST_F(InstanceTest, OneRootEventEnvelopeAppliesEveryEvent) {
   auto topology = workloads::BuildWordCountTopology("inst-batch", 1, 1,
                                                     spout_options);
   ASSERT_TRUE(topology.ok());
-  packing::RoundRobinPacking packer;
-  Config config;
-  config.SetInt(config_keys::kNumContainersHint, 1);
-  ASSERT_TRUE(packer.Initialize(config, *topology).ok());
-  auto plan = packer.Pack();
-  ASSERT_TRUE(plan.ok());
 
   HeronInstance::Options options;
   options.task = 0;
   options.acking = true;
   options.config.SetBool(config_keys::kAckingEnabled, true);
-  HeronInstance spout(options, *proto::PhysicalPlan::Build(*topology, *plan),
-                      transport_.get(), RealClock::Get(), nullptr);
+  HeronInstance spout(options, PlanFor(*topology), transport_.get(),
+                      RealClock::Get(), nullptr);
   ASSERT_TRUE(spout.StartStepMode().ok());
   for (int i = 0; i < 1000 && spout.pending_count() < 100; ++i) {
     spout.loop()->RunOnce();
@@ -285,17 +287,11 @@ TEST_F(InstanceTest, ReusedInputTupleCarriesExactlyEachReceivedTuple) {
       .ShuffleGrouping("src", "side");
   auto topology = builder.Build();
   ASSERT_TRUE(topology.ok());
-  packing::RoundRobinPacking packer;
-  Config config;
-  config.SetInt(config_keys::kNumContainersHint, 1);
-  ASSERT_TRUE(packer.Initialize(config, *topology).ok());
-  auto plan = packer.Pack();
-  ASSERT_TRUE(plan.ok());
 
   HeronInstance::Options options;
   options.task = 1;  // The recording bolt.
-  HeronInstance bolt(options, *proto::PhysicalPlan::Build(*topology, *plan),
-                     transport_.get(), RealClock::Get(), nullptr);
+  HeronInstance bolt(options, PlanFor(*topology), transport_.get(),
+                     RealClock::Get(), nullptr);
   ASSERT_TRUE(bolt.StartStepMode().ok());
 
   // Arity, kinds and root count change from tuple to tuple, so every slot
@@ -362,6 +358,275 @@ TEST_F(InstanceTest, ReusedInputTupleCarriesExactlyEachReceivedTuple) {
   }
   EXPECT_EQ(bolt.metrics()->GetCounter("instance.executed")->value(), 3u);
   bolt.Stop();
+}
+
+// Two-level tuple tree: a relay bolt acks its input k (root R) after
+// emitting one anchored child c. The child carries R, and the ack update
+// folds k ^ c into R, so the tracker stays pending until c itself is acked.
+TEST_F(InstanceTest, RelayAckFoldsAnchoredChildIntoRoot) {
+  auto topology =
+      workloads::BuildWordChainTopology("inst-relay", 1, 1, 1, 1);
+  ASSERT_TRUE(topology.ok());
+  const auto plan = PlanFor(*topology);
+  const TaskId spout = plan->TasksOfComponent("word").at(0);
+  HeronInstance::Options options;
+  options.task = plan->TasksOfComponent("relay0").at(0);
+  options.acking = true;
+  options.config.SetBool(config_keys::kAckingEnabled, true);
+  HeronInstance relay(options, plan, transport_.get(), RealClock::Get(),
+                      nullptr);
+  ASSERT_TRUE(relay.StartStepMode().ok());
+
+  const api::TupleKey root = proto::MakeRootKey(spout, 0x5EED);
+  const api::TupleKey key = 0x0123456789ABCDEFull;
+  proto::TupleDataMsg input;
+  input.tuple_key = key;
+  input.roots.push_back(root);
+  input.values.emplace_back(std::string("hello"));
+  proto::TupleBatchMsg batch;
+  batch.src_task = spout;
+  batch.dest_task = options.task;
+  batch.src_component = "word";
+  batch.tuples.push_back(input.SerializeAsBuffer());
+  ASSERT_TRUE(relay.inbound()
+                  ->TrySend(proto::Envelope(
+                      proto::MessageType::kTupleBatchRouted,
+                      batch.SerializeAsBuffer()))
+                  .ok());
+  relay.loop()->RunOnce();
+
+  std::vector<proto::TupleDataMsg> children;
+  std::vector<proto::AckUpdate> updates;
+  while (auto env = smgr_inbound_->TryRecv()) {
+    if (env->type == proto::MessageType::kTupleBatch) {
+      proto::TupleBatchMsg out;
+      ASSERT_TRUE(out.ParseFromBytes(env->payload).ok());
+      for (const auto& bytes : out.tuples) {
+        children.emplace_back();
+        ASSERT_TRUE(children.back().ParseFromBytes(bytes).ok());
+      }
+    } else if (env->type == proto::MessageType::kAckBatch) {
+      proto::AckBatchMsg acks;
+      ASSERT_TRUE(acks.ParseFromBytes(env->payload).ok());
+      EXPECT_EQ(acks.dest_task, spout);  // Root owner.
+      updates.insert(updates.end(), acks.updates.begin(), acks.updates.end());
+    }
+  }
+  ASSERT_EQ(children.size(), 1u);
+  const api::TupleKey child = children[0].tuple_key;
+  EXPECT_NE(child, key);
+  EXPECT_EQ(children[0].roots, std::vector<api::TupleKey>{root});
+  EXPECT_EQ(children[0].values, input.values);
+  ASSERT_EQ(updates.size(), 1u);
+  EXPECT_EQ(updates[0], (proto::AckUpdate{root, key ^ child, false}));
+
+  smgr::AckTracker tracker(/*timeout_nanos=*/1000000000);
+  tracker.Register(root, key, /*now_nanos=*/0);
+  EXPECT_FALSE(
+      tracker.Update(root, updates[0].xor_value, updates[0].fail).has_value());
+  EXPECT_EQ(tracker.pending(), 1u);
+  const auto done = tracker.Update(root, child, false);  // The leaf's ack.
+  ASSERT_TRUE(done.has_value());
+  EXPECT_FALSE(done->fail);
+  EXPECT_EQ(tracker.pending(), 0u);
+  relay.Stop();
+}
+
+/// Barrier alignment on a single-stepped recording bolt fed by two spout
+/// tasks (upstream channels A and B), snapshotting into an in-memory
+/// state tree. Every batch carries one tuple whose only value is an id,
+/// so `Executed()` is the bolt's execution order.
+class InstanceAlignmentTest : public InstanceTest {
+ protected:
+  void SetUp() override {
+    InstanceTest::SetUp();
+    ASSERT_TRUE(state_.Initialize(Config()).ok());
+    api::TopologyBuilder builder("inst-align");
+    builder
+        .SetSpout(
+            "src",
+            [] { return std::make_unique<workloads::WordSpout>(
+                     workloads::WordSpout::Options{}); },
+            2)
+        .OutputFields({"id"});
+    auto seen = seen_;
+    builder
+        .SetBolt(
+            "rec", [seen] { return std::make_unique<RecordingBolt>(seen); },
+            1)
+        .ShuffleGrouping("src");
+    auto topology = builder.Build();
+    ASSERT_TRUE(topology.ok());
+    const auto plan = PlanFor(*topology);
+    a_ = plan->TasksOfComponent("src").at(0);
+    b_ = plan->TasksOfComponent("src").at(1);
+    HeronInstance::Options options;
+    options.task = plan->TasksOfComponent("rec").at(0);
+    options.checkpoint_state = &state_;
+    bolt_ = std::make_unique<HeronInstance>(options, plan, transport_.get(),
+                                            RealClock::Get(), nullptr);
+    ASSERT_TRUE(bolt_->StartStepMode().ok());
+  }
+
+  void TearDown() override { bolt_->Stop(); }
+
+  void Deliver(proto::Envelope env) {
+    ASSERT_TRUE(bolt_->inbound()->TrySend(std::move(env)).ok());
+    bolt_->loop()->RunOnce();
+  }
+
+  void SendControl(uint8_t kind, uint64_t ckpt_id, TaskId origin) {
+    proto::CheckpointBarrierMsg msg;
+    msg.ckpt_id = ckpt_id;
+    msg.origin_task = origin;
+    msg.kind = kind;
+    proto::Envelope env(proto::MessageType::kCheckpointBarrier,
+                        msg.SerializeAsBuffer());
+    env.dest_task = bolt_->task();
+    Deliver(std::move(env));
+  }
+  void SendBarrier(uint64_t ckpt_id, TaskId origin) {
+    SendControl(proto::CheckpointBarrierMsg::kBarrier, ckpt_id, origin);
+  }
+  void SendAbort(uint64_t ckpt_id) {
+    SendControl(proto::CheckpointBarrierMsg::kAbort, ckpt_id, -1);
+  }
+
+  void SendBatch(TaskId src, int64_t id) {
+    proto::TupleDataMsg tuple;
+    tuple.tuple_key = static_cast<api::TupleKey>(id);
+    tuple.values.emplace_back(id);
+    proto::TupleBatchMsg batch;
+    batch.src_task = src;
+    batch.dest_task = bolt_->task();
+    batch.src_component = "src";
+    batch.tuples.push_back(tuple.SerializeAsBuffer());
+    Deliver(proto::Envelope(proto::MessageType::kTupleBatchRouted,
+                            batch.SerializeAsBuffer()));
+  }
+
+  std::vector<int64_t> Executed() const {
+    std::vector<int64_t> ids;
+    for (const SeenTuple& t : *seen_) {
+      ids.push_back(std::get<int64_t>(t.values[0]));
+    }
+    return ids;
+  }
+
+  uint64_t Count(const char* counter) {
+    return bolt_->metrics()->GetCounter(counter)->value();
+  }
+
+  bool HasSnapshot(uint64_t ckpt_id) {
+    return state_
+        .ExistsNode(statemgr::paths::CheckpointTask("inst-align", ckpt_id,
+                                                    bolt_->task()))
+        .ValueOr(false);
+  }
+
+  /// Checkpoint ids of the barriers the bolt forwarded to its SMGR.
+  std::vector<uint64_t> ForwardedBarriers() {
+    std::vector<uint64_t> ids;
+    while (auto env = smgr_inbound_->TryRecv()) {
+      if (env->type != proto::MessageType::kCheckpointBarrier) continue;
+      proto::CheckpointBarrierMsg msg;
+      EXPECT_TRUE(msg.ParseFromBytes(env->payload).ok());
+      EXPECT_EQ(msg.origin_task, bolt_->task());
+      ids.push_back(msg.ckpt_id);
+    }
+    return ids;
+  }
+
+  statemgr::InMemoryStateManager state_;
+  std::shared_ptr<std::vector<SeenTuple>> seen_ =
+      std::make_shared<std::vector<SeenTuple>>();
+  TaskId a_ = -1;
+  TaskId b_ = -1;
+  std::unique_ptr<HeronInstance> bolt_;
+};
+
+// A newer barrier overtaking an incomplete alignment aborts it: the batch
+// buffered for the dead checkpoint runs first, and the newer checkpoint
+// then aligns and completes normally.
+TEST_F(InstanceAlignmentTest, OvertakingBarrierAbortsThenNewerCompletes) {
+  SendBarrier(1, a_);
+  SendBatch(a_, 1);  // Post-barrier on A: parked.
+  EXPECT_TRUE(Executed().empty());
+  EXPECT_EQ(Count("instance.aligned.buffered"), 1u);
+
+  SendBarrier(2, a_);  // Checkpoint 1 can no longer complete here.
+  EXPECT_EQ(Count("instance.checkpoint.aborts"), 1u);
+  EXPECT_EQ(Executed(), (std::vector<int64_t>{1}));
+
+  SendBatch(a_, 2);  // Post-barrier for checkpoint 2: parked.
+  SendBatch(b_, 3);  // B has not barriered yet: runs at once.
+  EXPECT_EQ(Executed(), (std::vector<int64_t>{1, 3}));
+
+  SendBarrier(2, b_);  // Aligned: snapshot, forward, release A's batch.
+  EXPECT_EQ(Executed(), (std::vector<int64_t>{1, 3, 2}));
+  EXPECT_EQ(Count("instance.checkpoints"), 1u);
+  EXPECT_EQ(Count("instance.checkpoint.aborts"), 1u);
+  EXPECT_TRUE(HasSnapshot(2));
+  EXPECT_FALSE(HasSnapshot(1));
+  EXPECT_EQ(ForwardedBarriers(), (std::vector<uint64_t>{2}));
+}
+
+// kAbort fences its checkpoint: a straggler barrier of the aborted
+// checkpoint is stale and must not open an alignment that can never
+// complete (which would park B's channel).
+TEST_F(InstanceAlignmentTest, AbortFencesStragglerBarriers) {
+  SendBarrier(5, a_);
+  SendBatch(a_, 1);
+  SendAbort(5);
+  EXPECT_EQ(Count("instance.checkpoint.aborts"), 1u);
+  EXPECT_EQ(Executed(), (std::vector<int64_t>{1}));
+
+  SendBarrier(5, b_);  // Straggler of the aborted checkpoint.
+  SendBatch(b_, 2);
+  SendBatch(a_, 3);
+  EXPECT_EQ(Executed(), (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_EQ(Count("instance.aligned.buffered"), 1u);
+  EXPECT_EQ(Count("instance.checkpoints"), 0u);
+  EXPECT_TRUE(ForwardedBarriers().empty());
+}
+
+// An abort of an older checkpoint leaves the running alignment intact.
+TEST_F(InstanceAlignmentTest, StaleAbortLeavesAlignmentIntact) {
+  SendBarrier(5, a_);
+  SendAbort(4);
+  EXPECT_EQ(Count("instance.checkpoint.aborts"), 0u);
+  SendBatch(a_, 1);  // Still post-barrier for checkpoint 5: parked.
+  EXPECT_TRUE(Executed().empty());
+
+  SendBarrier(5, b_);
+  EXPECT_EQ(Executed(), (std::vector<int64_t>{1}));
+  EXPECT_EQ(Count("instance.checkpoints"), 1u);
+  EXPECT_EQ(Count("instance.checkpoint.aborts"), 0u);
+  EXPECT_TRUE(HasSnapshot(5));
+  EXPECT_EQ(ForwardedBarriers(), (std::vector<uint64_t>{5}));
+}
+
+// An abort of a newer checkpoint than the one aligning fences the older
+// one's barriers too, so it ends that alignment instead of leaving A's
+// channel parked until some later barrier overtakes.
+TEST_F(InstanceAlignmentTest, NewerAbortEndsOlderAlignment) {
+  SendBarrier(5, a_);
+  SendBatch(a_, 1);
+  SendAbort(6);
+  EXPECT_EQ(Count("instance.checkpoint.aborts"), 1u);
+  EXPECT_EQ(Executed(), (std::vector<int64_t>{1}));
+
+  SendBarrier(5, b_);
+  SendBarrier(6, a_);
+  SendBatch(a_, 2);
+  EXPECT_EQ(Executed(), (std::vector<int64_t>{1, 2}));
+
+  SendBarrier(7, a_);  // The next checkpoint aligns normally.
+  SendBatch(a_, 3);
+  SendBarrier(7, b_);
+  EXPECT_EQ(Executed(), (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_EQ(Count("instance.checkpoints"), 1u);
+  EXPECT_EQ(ForwardedBarriers(), (std::vector<uint64_t>{7}));
 }
 
 TEST_F(InstanceTest, StartRejectsUnknownTask) {

@@ -6,7 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdio>
+#include <map>
+#include <mutex>
+#include <thread>
 
 #include "common/clock.h"
 #include "common/logging.h"
@@ -26,6 +30,64 @@ class LocalClusterTest : public ::testing::Test {
     config.SetInt(config_keys::kNumContainersHint, 2);
     return config;
   }
+};
+
+/// What the spout side of FailingBoltFailsExactlyItsTrees saw: Fail calls
+/// per message id and the Ack count. Spouts run on engine threads.
+struct SpoutLedger {
+  std::mutex mu;
+  std::map<int64_t, int> fails;
+  uint64_t acks = 0;
+};
+
+/// Emits message ids 1..limit, each as a tracked tuple whose only value is
+/// its own id, and records every Ack/Fail in the ledger.
+class SequenceSpout final : public api::ISpout {
+ public:
+  SequenceSpout(int64_t limit, std::shared_ptr<SpoutLedger> ledger)
+      : limit_(limit), ledger_(std::move(ledger)) {}
+  void Open(const Config&, api::TopologyContext*,
+            api::ISpoutOutputCollector* collector) override {
+    collector_ = collector;
+  }
+  void NextTuple() override {
+    if (next_ > limit_) return;
+    collector_->Emit({api::Value(next_)}, next_);
+    ++next_;
+  }
+  void Ack(int64_t) override {
+    std::lock_guard<std::mutex> lock(ledger_->mu);
+    ++ledger_->acks;
+  }
+  void Fail(int64_t message_id) override {
+    std::lock_guard<std::mutex> lock(ledger_->mu);
+    ++ledger_->fails[message_id];
+  }
+
+ private:
+  const int64_t limit_;
+  std::shared_ptr<SpoutLedger> ledger_;
+  api::ISpoutOutputCollector* collector_ = nullptr;
+  int64_t next_ = 1;
+};
+
+/// Fails every input whose id is a multiple of 10 and acks the rest.
+class FailTenthBolt final : public api::IBolt {
+ public:
+  void Prepare(const Config&, api::TopologyContext*,
+               api::IBoltOutputCollector* collector) override {
+    collector_ = collector;
+  }
+  void Execute(const api::Tuple& input) override {
+    if (input.GetInt64(0) % 10 == 0) {
+      collector_->Fail(input);
+    } else {
+      collector_->Ack(input);
+    }
+  }
+
+ private:
+  api::IBoltOutputCollector* collector_ = nullptr;
 };
 
 TEST_F(LocalClusterTest, WordCountWithoutAcksDeliversTuples) {
@@ -123,6 +185,91 @@ TEST_F(LocalClusterTest, FiniteStreamAcksEveryTree) {
   ASSERT_TRUE(wait.ok());
   EXPECT_EQ(cluster.SumCounter("instance.failed"), 0u);
   ASSERT_TRUE(cluster.Kill().ok());
+}
+
+// Multi-level trees: every word crosses two relay stages before a count
+// bolt, so each tree is three anchored levels deep, and every one of them
+// must close exactly once, as an ack.
+TEST_F(LocalClusterTest, WordChainAcksEveryTreeOnce) {
+  constexpr uint64_t kWords = 2000;
+  workloads::WordSpout::Options spout_options;
+  spout_options.dictionary_size = 100;
+  spout_options.emit_limit = kWords;
+
+  Config config = BaseConfig();
+  config.SetBool(config_keys::kAckingEnabled, true);
+  config.SetInt(config_keys::kMaxSpoutPending, 500);
+  auto topology = workloads::BuildWordChainTopology(
+      "chain-finite", 1, /*relay_stages=*/2, /*relay_parallelism=*/2,
+      /*bolts=*/2, spout_options, config);
+  ASSERT_TRUE(topology.ok()) << topology.status().ToString();
+  LocalCluster cluster(config);
+  ASSERT_TRUE(cluster.Submit(*topology).ok());
+  ASSERT_TRUE(cluster.WaitForCounter("instance.acked", kWords, 60000).ok());
+
+  EXPECT_EQ(cluster.SumCounter("instance.acked"), kWords);
+  EXPECT_EQ(cluster.SumCounter("instance.failed"), 0u);
+  EXPECT_EQ(cluster.SumCounter("instance.emitted", "word"), kWords);
+  EXPECT_EQ(cluster.SumCounter("instance.executed", "relay0"), kWords);
+  EXPECT_EQ(cluster.SumCounter("instance.executed", "relay1"), kWords);
+  EXPECT_EQ(cluster.SumCounter("instance.executed", "count"), kWords);
+  EXPECT_EQ(cluster.SumSmgrCounter("smgr.roots.completed"), kWords);
+  EXPECT_EQ(cluster.SumSmgrCounter("smgr.roots.timeout"), 0u);
+  ASSERT_TRUE(cluster.Kill().ok());
+}
+
+// A bolt's explicit Fail closes its tree as failed at once: the spout's
+// Fail sees exactly the failed message ids, once each, and every other
+// tree is acked.
+TEST_F(LocalClusterTest, FailingBoltFailsExactlyItsTrees) {
+  constexpr int64_t kTuples = 1000;
+  constexpr uint64_t kFailed = kTuples / 10;
+  auto ledger = std::make_shared<SpoutLedger>();
+  api::TopologyBuilder builder("fail-tenth");
+  builder
+      .SetSpout(
+          "seq",
+          [ledger] {
+            return std::make_unique<SequenceSpout>(int64_t{kTuples}, ledger);
+          },
+          1)
+      .OutputFields({"id"});
+  builder
+      .SetBolt("judge", [] { return std::make_unique<FailTenthBolt>(); }, 2)
+      .ShuffleGrouping("seq");
+  Config config = BaseConfig();
+  config.SetBool(config_keys::kAckingEnabled, true);
+  config.SetInt(config_keys::kMaxSpoutPending, 200);
+  // Far beyond the wait below: every failure must come from the bolt.
+  config.SetInt(config_keys::kMessageTimeoutMs, 600000);
+  *builder.mutable_config() = config;
+  auto topology = builder.Build();
+  ASSERT_TRUE(topology.ok()) << topology.status().ToString();
+  LocalCluster cluster(config);
+  ASSERT_TRUE(cluster.Submit(*topology).ok());
+  // Every tree closes at its spout, acked or failed.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (cluster.SumCounter("instance.acked") +
+             cluster.SumCounter("instance.failed") <
+         static_cast<uint64_t>(kTuples)) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+
+  EXPECT_EQ(cluster.SumCounter("instance.emitted", "seq"),
+            static_cast<uint64_t>(kTuples));
+  EXPECT_EQ(cluster.SumCounter("instance.failed"), kFailed);
+  EXPECT_EQ(cluster.SumCounter("instance.acked"), kTuples - kFailed);
+  EXPECT_EQ(cluster.SumSmgrCounter("smgr.roots.failed"), kFailed);
+  EXPECT_EQ(cluster.SumSmgrCounter("smgr.roots.timeout"), 0u);
+  ASSERT_TRUE(cluster.Kill().ok());
+
+  std::map<int64_t, int> expected;
+  for (int64_t id = 10; id <= kTuples; id += 10) expected[id] = 1;
+  std::lock_guard<std::mutex> lock(ledger->mu);
+  EXPECT_EQ(ledger->fails, expected);
+  EXPECT_EQ(ledger->acks, kTuples - kFailed);
 }
 
 TEST_F(LocalClusterTest, MaxSpoutPendingBoundsInFlightTuples) {

@@ -182,6 +182,50 @@ TEST(TaskletPoolTest, DriveAllStepsEveryMemberUntilDone) {
   }
 }
 
+// The default step cap bounds the handoff between a producer and its
+// consumer on one worker: a spout-like loop whose idle worker always
+// emits gets at most 8 rounds per pass, so each pass hands the consumer
+// a small batch instead of one long production run.
+TEST(TaskletPoolTest, DefaultSliceBoundsProducerRoundsPerPass) {
+  constexpr int kCap = 8;
+  TaskletPool::Options options;
+  options.workers = 1;
+  options.threaded = false;
+  SimClock clock(0);
+  TaskletPool pool(options, &clock);
+
+  // Roomy enough that a longer slice could overfill a pass.
+  ipc::Channel<int> channel(/*capacity=*/4096);
+  EventLoop producer(LoopOptions("producer"), &clock);
+  producer.AddIdle([&channel] { return channel.TrySend(1).ok(); });
+  EventLoop consumer(LoopOptions("consumer"), &clock);
+  int received = 0;
+  consumer.AddChannel<int>(&channel, [&received](int&&) { ++received; });
+  pool.Add(&producer);
+  pool.Add(&consumer);
+
+  int previous = 0;
+  for (int pass = 0; pass < 32; ++pass) {
+    ASSERT_TRUE(pool.DriveAll());
+    EXPECT_LE(received - previous, kCap) << "pass " << pass;
+    EXPECT_GT(received, previous) << "pass " << pass;
+    previous = received;
+  }
+
+  // A lone loop that always progresses: the cap alone ends its slice.
+  EventLoop lone(LoopOptions("lone"), &clock);
+  int calls = 0;
+  lone.AddIdle([&calls] {
+    ++calls;
+    return true;
+  });
+  Tasklet tasklet(&lone, TaskletOptions(), &clock);
+  EXPECT_TRUE(tasklet.Drive());
+  EXPECT_EQ(calls, kCap);
+  tasklet.Drive();
+  EXPECT_EQ(calls, 2 * kCap);
+}
+
 TEST(TaskletPoolTest, RetiredMemberStopsBeingDriven) {
   TaskletPool::Options options;
   options.workers = 1;
