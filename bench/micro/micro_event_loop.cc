@@ -1,8 +1,8 @@
-// Microbenchmarks of the §II reactor kernel: per-iteration stepping cost,
-// the cost of an idle cooperative drive, cross-thread wakeup latency
-// through a parked loop, and timer-fire jitter. These bound the fixed
-// overhead every module loop (SMGR, instance) pays on top of its actual
-// envelope work.
+// Microbenchmarks of the §II reactor kernel: the price of one clock read,
+// per-iteration stepping cost, the cost of an idle cooperative drive,
+// cross-thread wakeup latency through a parked loop, and timer-fire
+// jitter. These bound the fixed overhead every module loop (SMGR,
+// instance) pays on top of its actual envelope work.
 
 #include <benchmark/benchmark.h>
 
@@ -28,6 +28,17 @@ runtime::EventLoop::Options BenchOptions(const char* name) {
   options.name = name;
   return options;
 }
+
+/// One RealClock::NowNanos() (steady_clock): the unit the engine's clock
+/// budget is counted in — a cooperative step reads it once, a spout round
+/// once, an acking SMGR batch once.
+void BM_ClockRead(benchmark::State& state) {
+  const Clock* clock = RealClock::Get();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(clock->NowNanos());
+  }
+}
+BENCHMARK(BM_ClockRead);
 
 /// Cost of one empty RunOnce() iteration: timer-heap peek, source scan,
 /// service sweep. This is the floor a step-mode test pays per step.
@@ -69,7 +80,8 @@ BENCHMARK(BM_RunOnceOneEnvelope);
 /// the fixed price of one drive that finds nothing to do, which the slice
 /// step cap trades against per-pass payload; `ns_per_drive` divides the
 /// pass by N. BM_RunOnceEmpty has neither registry nor clock and reads far
-/// lower.
+/// lower. An idle drive reads the clock twice: the slice start and the
+/// one step's end.
 void BM_IdleTaskletPass(benchmark::State& state) {
   const int loops = static_cast<int>(state.range(0));
   const Clock* clock = RealClock::Get();

@@ -76,7 +76,10 @@ class Tuple {
   std::vector<TupleKey>* mutable_roots() { return &roots_; }
 
   /// Emission timestamp at the root spout (nanos), carried end-to-end for
-  /// the latency measurements of Figs. 3, 9, 11, 13.
+  /// the latency measurements of Figs. 3, 9, 11, 13. The spout reads the
+  /// clock once per NextTuple round: every tuple a round emits carries the
+  /// time of its first emit, and an emit outside a round (from Open, Ack
+  /// or Fail) carries its own.
   int64_t emit_time_nanos() const { return emit_time_nanos_; }
   void set_emit_time_nanos(int64_t t) { emit_time_nanos_ = t; }
 

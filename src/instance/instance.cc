@@ -22,7 +22,7 @@ class HeronInstance::SpoutCollector final : public api::ISpoutOutputCollector {
     // tracked emit allocates no roots vector.
     proto::TupleDataMsg& msg = msg_;
     msg.Clear();
-    msg.emit_time_nanos = in->clock_->NowNanos();
+    msg.emit_time_nanos = EmitTime();
     // Deterministic 1-in-N sampling on the spout emission sequence: the
     // same topology under the same clock traces the same tuples. The
     // whole block compiles down to nothing when tracing is off (null
@@ -56,9 +56,31 @@ class HeronInstance::SpoutCollector final : public api::ISpoutOutputCollector {
     in->emitted_->Increment();
   }
 
+  /// Brackets one NextTuple call of SpoutStep: its emits share one stamp,
+  /// read by the first of them.
+  void BeginRound() {
+    in_round_ = true;
+    round_stamped_ = false;
+  }
+  void EndRound() { in_round_ = false; }
+
  private:
+  /// One clock read per NextTuple round; an emit outside a round (from
+  /// Open, Ack or Fail) reads its own time.
+  int64_t EmitTime() {
+    if (!in_round_) return owner_->clock_->NowNanos();
+    if (!round_stamped_) {
+      round_nanos_ = owner_->clock_->NowNanos();
+      round_stamped_ = true;
+    }
+    return round_nanos_;
+  }
+
   HeronInstance* owner_;
   proto::TupleDataMsg msg_;
+  bool in_round_ = false;
+  bool round_stamped_ = false;
+  int64_t round_nanos_ = 0;
 };
 
 /// Bolt-side emission and acking: accumulates the XOR contribution of the
@@ -394,7 +416,9 @@ bool HeronInstance::SpoutStep() {
     return false;
   }
   const uint64_t before = emitted_->value();
+  spout_collector_->BeginRound();
   spout_->NextTuple();
+  spout_collector_->EndRound();
   outbox_->Flush();
   // No emission → report "no progress" so the loop backs off briefly
   // instead of spinning on an idle spout.

@@ -146,8 +146,7 @@ size_t EventLoop::FireDueTimers(int64_t now) {
   return fired;
 }
 
-bool EventLoop::Step() {
-  const int64_t start = clock_->NowNanos();
+bool EventLoop::Step(int64_t start) {
   iterations_.fetch_add(1, std::memory_order_relaxed);
   if (iteration_counter_ != nullptr) iteration_counter_->Increment();
 
@@ -169,12 +168,12 @@ bool EventLoop::Step() {
   }
   all_sources_done_ = has_sources && !any_open;
 
-  // Dynamic-deadline services (ack expiry, retry flush, ...).
+  // Dynamic-deadline services (ack expiry, retry flush, ...), at the
+  // step's start time: the step's only clock read is its end.
   if (!services_.empty()) {
-    const int64_t now = clock_->NowNanos();
     service_deadline_ = kNoDeadline;
     for (auto& service : services_) {
-      service_deadline_ = std::min(service_deadline_, service(now));
+      service_deadline_ = std::min(service_deadline_, service(start));
     }
   }
 
@@ -202,22 +201,19 @@ bool EventLoop::Step() {
     }
   }
 
-  // Queue-depth watermark: the deepest single-iteration drain so far, a
-  // monotone max (driving-thread writes, any-thread reads).
-  if (last_step_handled_ > handled_watermark_.load(std::memory_order_relaxed)) {
-    handled_watermark_.store(last_step_handled_, std::memory_order_relaxed);
-    if (handled_watermark_gauge_ != nullptr) {
-      handled_watermark_gauge_->Set(static_cast<int64_t>(last_step_handled_));
-    }
+  // Queue-depth watermark: the deepest single-iteration drain so far.
+  if (handled_watermark_gauge_ != nullptr &&
+      last_step_handled_ > handled_watermark_) {
+    handled_watermark_ = last_step_handled_;
+    handled_watermark_gauge_->Set(static_cast<int64_t>(last_step_handled_));
   }
 
+  const int64_t end = clock_->NowNanos();
+  last_step_end_nanos_ = end;
   if (iter_latency_ != nullptr) {
-    const int64_t busy = std::max<int64_t>(clock_->NowNanos() - start, 0);
+    const int64_t busy = std::max<int64_t>(end - start, 0);
     iter_latency_->Record(static_cast<uint64_t>(busy));
-    busy_nanos_.fetch_add(busy, std::memory_order_relaxed);
-    if (busy_ns_counter_ != nullptr) {
-      busy_ns_counter_->Increment(static_cast<uint64_t>(busy));
-    }
+    busy_ns_counter_->Increment(static_cast<uint64_t>(busy));
   }
   if (thread_cpu_ != nullptr &&
       (iterations_.load(std::memory_order_relaxed) & 1023) == 0) {
@@ -249,18 +245,23 @@ void EventLoop::Shutdown() {
 
 bool EventLoop::RunOnce() {
   EnsureStartup();
-  return Step();
+  return Step(clock_->NowNanos());
+}
+
+bool EventLoop::RunOnce(int64_t start_nanos) {
+  EnsureStartup();
+  return Step(start_nanos);
 }
 
 void EventLoop::Run() {
   EnsureStartup();
   while (!ShouldExit()) {
-    const bool did_work = Step();
+    const bool did_work = Step(clock_->NowNanos());
     if (ShouldExit()) break;
     if (did_work) continue;  // Hot: drain everything before parking.
 
     // Idle: park on the coalescing wakeup until the next deadline.
-    const int64_t now = clock_->NowNanos();
+    const int64_t now = last_step_end_nanos_;
     int64_t deadline = NextDeadlineNanos();
     if (!idle_.empty()) {
       // Idle workers poll external state (back-pressure flags, pending
@@ -279,7 +280,6 @@ void EventLoop::Run() {
       }
       if (idle_ns_counter_ != nullptr) {
         const int64_t idled = std::max<int64_t>(clock_->NowNanos() - now, 0);
-        idle_nanos_.fetch_add(idled, std::memory_order_relaxed);
         idle_ns_counter_->Increment(static_cast<uint64_t>(idled));
       }
     }

@@ -176,6 +176,12 @@ class EventLoop {
   /// first call). Returns true when any timer fired, envelope was handled,
   /// or idle worker progressed.
   bool RunOnce();
+  /// RunOnce() whose iteration starts at `start_nanos`, a Clock reading the
+  /// caller already holds: timers and services see it as `now`, and the
+  /// step reads the clock only for its end (last_step_end_nanos()). A
+  /// tasklet stepping back to back passes each step's end as the next
+  /// step's start, so one step costs one clock read.
+  bool RunOnce(int64_t start_nanos);
 
   /// Spawns a thread running Run().
   void Start();
@@ -209,6 +215,9 @@ class EventLoop {
   /// denominator a cooperative driver needs to turn a step's wall time
   /// into a per-tuple cost estimate. Call only from the driving thread.
   size_t last_step_handled() const { return last_step_handled_; }
+  /// Clock reading taken at the end of the most recent Step(): a tasklet's
+  /// step elapsed time and its next step's start. Driving thread only.
+  int64_t last_step_end_nanos() const { return last_step_end_nanos_; }
   /// True when every registered channel source is closed and drained — the
   /// condition (with stopped()) that ends Run(). Meaningful only from the
   /// driving thread.
@@ -228,18 +237,6 @@ class EventLoop {
     return iterations_.load(std::memory_order_relaxed);
   }
   uint64_t wakeups() const { return wakeups_.load(std::memory_order_relaxed); }
-  /// Nanoseconds spent inside Step() (profiling; 0 without a registry).
-  int64_t busy_nanos() const {
-    return busy_nanos_.load(std::memory_order_relaxed);
-  }
-  /// Nanoseconds spent parked in Run() (profiling; 0 without a registry).
-  int64_t idle_nanos() const {
-    return idle_nanos_.load(std::memory_order_relaxed);
-  }
-  /// Deepest single-iteration drain across all sources so far.
-  uint64_t handled_watermark() const {
-    return handled_watermark_.load(std::memory_order_relaxed);
-  }
   /// Earliest pending timer deadline, kNoDeadline when the heap is empty.
   int64_t NextTimerDeadlineNanos() const;
   size_t num_sources() const;
@@ -272,8 +269,9 @@ class EventLoop {
     bool cancelled = false;
   };
 
-  /// One iteration: due timers → source bursts → services → idle workers.
-  bool Step();
+  /// One iteration starting at `start` (due timers → source bursts →
+  /// services → idle workers); reads the clock once, for its end.
+  bool Step(int64_t start);
   /// Fires every timer with deadline <= now; returns count fired.
   size_t FireDueTimers(int64_t now);
   /// True when Run() must exit: stopped, or channels exist and all are done.
@@ -290,8 +288,10 @@ class EventLoop {
   std::vector<Source> sources_;
   SourceId next_source_id_ = 1;
   bool all_sources_done_ = false;
-  /// Envelopes drained by the most recent Step() (driving thread only).
+  /// Envelopes drained by, and the end time of, the most recent Step()
+  /// (driving thread only).
   size_t last_step_handled_ = 0;
+  int64_t last_step_end_nanos_ = 0;
 
   std::priority_queue<TimerEntry, std::vector<TimerEntry>,
                       std::greater<TimerEntry>>
@@ -325,9 +325,9 @@ class EventLoop {
   // Instrumentation.
   std::atomic<uint64_t> iterations_{0};
   std::atomic<uint64_t> wakeups_{0};
-  std::atomic<int64_t> busy_nanos_{0};
-  std::atomic<int64_t> idle_nanos_{0};
-  std::atomic<uint64_t> handled_watermark_{0};
+  /// Deepest single-step drain so far, behind the watermark gauge
+  /// (driving thread only).
+  size_t handled_watermark_ = 0;
   metrics::Gauge* thread_cpu_ = nullptr;
   metrics::Histogram* iter_latency_ = nullptr;
   metrics::Counter* wakeup_counter_ = nullptr;

@@ -62,8 +62,10 @@ class TaskletPool::Handle {
 /// member tasklets, idles per the pool policy.
 class TaskletPool::Worker {
  public:
-  Worker(const Options* options, const Clock* clock, size_t index)
-      : options_(options), clock_(clock), index_(index) {}
+  Worker(const Options* options, const Clock* clock, size_t index,
+         std::atomic<uint64_t>* membership)
+      : options_(options), clock_(clock), index_(index),
+        membership_(membership) {}
 
   void Add(std::shared_ptr<Handle> handle) {
     handle->tasklet.loop()->wakeup()->Chain(&wakeup_);
@@ -71,6 +73,9 @@ class TaskletPool::Worker {
       std::lock_guard<std::mutex> lock(list_mu_);
       members_.push_back(std::move(handle));
     }
+    // Bumped after the push and before the notify: the pass the notify
+    // wakes sees the new generation and rebuilds its snapshot.
+    membership_->fetch_add(1, std::memory_order_release);
     wakeup_.Notify();
   }
 
@@ -87,44 +92,33 @@ class TaskletPool::Worker {
     if (thread_.joinable()) thread_.join();
   }
 
-  /// One drive pass over a snapshot of the member list; prunes retired
-  /// handles. Returns whether any tasklet progressed.
+  /// One drive pass over the member snapshot. Returns whether any
+  /// tasklet progressed.
   bool Pass() {
-    scratch_.clear();
-    {
-      std::lock_guard<std::mutex> lock(list_mu_);
-      members_.erase(
-          std::remove_if(members_.begin(), members_.end(),
-                         [](const std::shared_ptr<Handle>& h) {
-                           return h->retired.load(std::memory_order_acquire);
-                         }),
-          members_.end());
-      scratch_ = members_;
-    }
+    RefreshSnapshot();
     bool did_work = false;
     observability::SliceRing* ring = options_->slice_ring;
-    for (const std::shared_ptr<Handle>& handle : scratch_) {
+    for (Handle* handle : snapshot_) {
       std::lock_guard<std::mutex> drive(handle->mu);
       if (handle->retired.load(std::memory_order_acquire) || handle->finished) {
         continue;
       }
-      if (ring != nullptr) {
+      Tasklet& tasklet = handle->tasklet;
+      if (tasklet.Drive()) {
+        did_work = true;
         // Timeline slice: only progressing drives are recorded — idle
         // passes happen thousands of times a second and carry no signal.
-        const int64_t t0 = clock_->NowNanos();
-        if (handle->tasklet.Drive()) {
-          ring->Record(static_cast<int32_t>(index_), handle->ord, t0,
-                       clock_->NowNanos() - t0);
-          did_work = true;
+        if (ring != nullptr) {
+          ring->Record(static_cast<int32_t>(index_), handle->ord,
+                       tasklet.slice_start_nanos(),
+                       tasklet.slice_end_nanos() - tasklet.slice_start_nanos());
         }
-      } else if (handle->tasklet.Drive()) {
-        did_work = true;
       }
-      if (handle->tasklet.Done()) {
+      if (tasklet.Done()) {
         // Mirror Run()'s exit: the loop's sources closed and drained (or
         // Stop was requested) while pooled — run its shutdown hooks here
         // on the driving thread. Halted loops no-op this.
-        handle->tasklet.loop()->Shutdown();
+        tasklet.loop()->Shutdown();
         handle->finished = true;
       }
     }
@@ -132,6 +126,11 @@ class TaskletPool::Worker {
   }
 
   ipc::Wakeup* wakeup() { return &wakeup_; }
+
+  size_t num_members() {
+    std::lock_guard<std::mutex> lock(list_mu_);
+    return members_.size();
+  }
 
   /// Worker wall-time spent inside drive passes (profiling; 0 when off).
   int64_t busy_nanos() const {
@@ -192,13 +191,35 @@ class TaskletPool::Worker {
     }
   }
 
+  /// Rebuilds the raw-pointer member snapshot, pruning retired handles,
+  /// when the pool's membership generation moved since the last rebuild;
+  /// a pass over an unchanged membership copies nothing. A snapshot
+  /// pointer stays valid until the next rebuild: only this worker erases
+  /// from `members_`, whose shared_ptrs keep every snapshot entry alive.
+  void RefreshSnapshot() {
+    const uint64_t generation = membership_->load(std::memory_order_acquire);
+    if (generation == snapshot_generation_) return;
+    snapshot_generation_ = generation;
+    std::lock_guard<std::mutex> lock(list_mu_);
+    members_.erase(
+        std::remove_if(members_.begin(), members_.end(),
+                       [](const std::shared_ptr<Handle>& h) {
+                         return h->retired.load(std::memory_order_acquire);
+                       }),
+        members_.end());
+    snapshot_.clear();
+    for (const std::shared_ptr<Handle>& handle : members_) {
+      snapshot_.push_back(handle.get());
+    }
+  }
+
   // Every member-loop access below (Poll, deadline reads) happens under
   // the handle's drive mutex with `retired` re-checked: the loop object
   // belongs to the module and may be destroyed any time after Retire()
   // returns, so the fence must cover more than just Drive().
   bool PollMembers() {
     bool pending = false;
-    for (const std::shared_ptr<Handle>& handle : scratch_) {
+    for (Handle* handle : snapshot_) {
       std::lock_guard<std::mutex> fence(handle->mu);
       if (handle->retired.load(std::memory_order_acquire)) continue;
       if (handle->tasklet.loop()->wakeup()->Poll()) pending = true;
@@ -212,7 +233,7 @@ class TaskletPool::Worker {
     // back-pressure flags, pending windows — changes without a notify).
     const int64_t now = clock_->NowNanos();
     int64_t deadline = EventLoop::kNoDeadline;
-    for (const std::shared_ptr<Handle>& handle : scratch_) {
+    for (Handle* handle : snapshot_) {
       std::lock_guard<std::mutex> fence(handle->mu);
       if (handle->retired.load(std::memory_order_acquire) || handle->finished) {
         continue;
@@ -233,13 +254,18 @@ class TaskletPool::Worker {
   const Options* options_;
   const Clock* clock_;
   size_t index_;
+  /// The pool's membership generation (TaskletPool::membership_).
+  std::atomic<uint64_t>* membership_;
 
   ipc::Wakeup wakeup_;
   std::atomic<int64_t> busy_nanos_{0};
   std::atomic<int64_t> started_nanos_{-1};
   std::mutex list_mu_;
   std::vector<std::shared_ptr<Handle>> members_;  ///< Guarded by list_mu_.
-  std::vector<std::shared_ptr<Handle>> scratch_;  ///< Worker-thread only.
+  /// Driving thread only: raw pointers into `members_` as of
+  /// `snapshot_generation_`.
+  std::vector<Handle*> snapshot_;
+  uint64_t snapshot_generation_ = 0;
   std::thread thread_;
   std::atomic<bool> stop_{false};
 };
@@ -251,7 +277,8 @@ TaskletPool::TaskletPool(const Options& options, const Clock* clock)
     n = std::max<size_t>(1, std::thread::hardware_concurrency());
   }
   for (size_t i = 0; i < n; ++i) {
-    workers_.push_back(std::make_unique<Worker>(&options_, clock_, i));
+    workers_.push_back(
+        std::make_unique<Worker>(&options_, clock_, i, &membership_));
   }
 }
 
@@ -290,6 +317,9 @@ void TaskletPool::Retire(Handle* handle) {
     registry_.erase(it);
   }
   if (keep->retired.exchange(true, std::memory_order_acq_rel)) return;
+  // Bumped after the flip, so a worker that sees the new generation also
+  // sees `retired` and prunes the handle at its next pass.
+  membership_.fetch_add(1, std::memory_order_release);
   // Fence: wait out any in-flight Drive(). After this, workers observe
   // `retired` under mu before touching the tasklet, so the loop is ours.
   { std::lock_guard<std::mutex> fence(keep->mu); }
@@ -339,6 +369,12 @@ TaskletPool::SchedulerStats TaskletPool::CollectStats(int64_t now_nanos) const {
     stats.cost_ewma_sum += handle->tasklet.cost_ewma_nanos();
   }
   return stats;
+}
+
+size_t TaskletPool::num_members() const {
+  size_t members = 0;
+  for (const auto& worker : workers_) members += worker->num_members();
+  return members;
 }
 
 std::vector<std::string> TaskletPool::TaskletNames() const {

@@ -67,10 +67,13 @@ struct TaskletOptions {
   /// sliced fairly against source-burst progress. The cap is the batch
   /// size of a producing slice: every step a spout keeps making progress
   /// adds one NextTuple round that its consumers on the same worker wait
-  /// behind. 8 steps keep a pass's payload small enough to stay in cache
-  /// (64 let ~500 one-KiB tuples through before any consumer ran) while
-  /// a slice still spreads the fixed cost of a drive over several rounds.
-  size_t max_steps_per_slice = 8;
+  /// behind. 4 steps hand the consumers about 64 one-KiB tuples per pass
+  /// (64 steps let ~500 through before any consumer ran). A smaller cap
+  /// means more passes, and every member pays one drive per pass whether
+  /// it has work or not; 4 became affordable once a step read the clock
+  /// once and a pass stopped copying the member list (DESIGN.md, "Why
+  /// the step cap is 4").
+  size_t max_steps_per_slice = 4;
 };
 
 /// \brief One cooperatively-scheduled module loop: an EventLoop driven in
@@ -106,9 +109,13 @@ class Tasklet {
                               : 8 * options.target_slice_nanos),
         budget_(options.min_burst) {}
 
-  /// One slice: returns whether the loop reported progress.
+  /// One slice: returns whether the loop reported progress. The slice
+  /// reads the clock once for its start; every step reads only its end,
+  /// which is the step's elapsed time, the next step's start and the
+  /// slice-target check at once.
   bool Drive() {
-    const int64_t slice_start = clock_->NowNanos();
+    int64_t now = clock_->NowNanos();
+    slice_start_nanos_ = now;
     bool did_work = false;
     size_t steps = 0;
     do {
@@ -130,9 +137,10 @@ class Tasklet {
         burst = std::min(burst, cap);
       }
       loop_->set_burst(burst);
-      const int64_t step_start = clock_->NowNanos();
-      const bool step_work = loop_->RunOnce();
-      const int64_t step_elapsed = clock_->NowNanos() - step_start;
+      const bool step_work = loop_->RunOnce(now);
+      const int64_t step_end = loop_->last_step_end_nanos();
+      const int64_t step_elapsed = step_end - now;
+      now = step_end;
       const size_t handled = loop_->last_step_handled();
       if (handled > 0 && step_elapsed > 0) {
         const double cost =
@@ -163,7 +171,8 @@ class Tasklet {
       }
       did_work = true;
     } while (steps < options_.max_steps_per_slice &&
-             clock_->NowNanos() - slice_start < options_.target_slice_nanos);
+             now - slice_start_nanos_ < options_.target_slice_nanos);
+    slice_end_nanos_ = now;
     ++slices_;
     return did_work;
   }
@@ -178,6 +187,9 @@ class Tasklet {
   double cost_ewma_nanos() const { return cost_ewma_nanos_; }
   uint64_t slices() const { return slices_; }
   uint64_t overruns() const { return overruns_; }
+  /// Clock readings that began and ended the most recent Drive().
+  int64_t slice_start_nanos() const { return slice_start_nanos_; }
+  int64_t slice_end_nanos() const { return slice_end_nanos_; }
 
  private:
   EventLoop* loop_;
@@ -188,6 +200,8 @@ class Tasklet {
   double cost_ewma_nanos_ = 0;
   uint64_t slices_ = 0;
   uint64_t overruns_ = 0;
+  int64_t slice_start_nanos_ = 0;
+  int64_t slice_end_nanos_ = 0;
 };
 
 /// \brief Thread-per-core cooperative scheduler: N workers, each driving
@@ -214,6 +228,14 @@ class Tasklet {
 /// per-handle drive mutex, guaranteeing any in-flight Drive() finished and
 /// no later one starts. After Retire() returns, the caller owns the loop
 /// again (e.g. to drain it on its own thread during graceful Stop).
+///
+/// ## Member snapshot
+/// A pass walks a raw-pointer snapshot of the worker's member list, so a
+/// pass over an unchanged membership takes no list lock and touches no
+/// shared_ptr count. A pool-wide generation tells the worker when to
+/// rebuild it: Add bumps it after the push and before its notify, Retire
+/// after flipping `retired`. Only the worker erases from its member list
+/// (when it rebuilds), so every snapshot pointer outlives the pass.
 ///
 /// ## Inline mode
 /// `Options::threaded=false` spawns no threads; DriveAll() steps every
@@ -302,6 +324,9 @@ class TaskletPool {
   std::vector<std::string> TaskletNames() const;
 
   size_t num_workers() const { return workers_.size(); }
+  /// Handles on the workers' member lists: the live ones, plus retired
+  /// ones their worker has not yet pruned (it does at its next pass).
+  size_t num_members() const;
   const Options& options() const { return options_; }
 
  private:
@@ -309,6 +334,10 @@ class TaskletPool {
 
   Options options_;
   const Clock* clock_;
+  /// Membership generation: Add and Retire bump it, and a worker rebuilds
+  /// its member snapshot only when it moved. Declared before `workers_`,
+  /// which point at it.
+  std::atomic<uint64_t> membership_{0};
   std::vector<std::unique_ptr<Worker>> workers_;
   std::atomic<size_t> next_worker_{0};
   bool started_ = false;

@@ -263,13 +263,12 @@ void StreamManager::ProcessEnvelope(proto::Envelope env) {
   }
 }
 
-void StreamManager::MaybeRegisterRoots(TaskId src_task,
-                                       serde::BytesView tuple_bytes) {
+void StreamManager::MaybeRegisterRoots(serde::BytesView tuple_bytes,
+                                       int64_t now) {
   api::TupleKey key = 0;
   if (!proto::PeekTupleKeyAndRoots(tuple_bytes, &key, &roots_scratch_).ok()) {
     return;
   }
-  const int64_t now = clock_->NowNanos();
   for (const api::TupleKey root : roots_scratch_) {
     tracker_.Register(root, key, now);
   }
@@ -334,8 +333,11 @@ void StreamManager::HandleInstanceBatch(const serde::Buffer& payload,
   const auto it = edges_.find(key);
   const bool is_spout =
       options_.acking && local_task_is_spout_[view_scratch_.src_task];
+  // One registration time for the whole batch: handling one batch takes
+  // microseconds, far below any ack timeout.
+  const int64_t now = is_spout ? clock_->NowNanos() : 0;
   for (const serde::BytesView tuple : view_scratch_.tuples) {
-    if (is_spout) MaybeRegisterRoots(view_scratch_.src_task, tuple);
+    if (is_spout) MaybeRegisterRoots(tuple, now);
     uint64_t trace_id = 0;
     if (peek_traces) {
       auto peeked = proto::PeekTraceId(tuple);

@@ -198,8 +198,9 @@ class StreamManager {
                   serde::BytesView stream, serde::BytesView src_component,
                   serde::BytesView tuple_bytes, uint64_t trace_id);
 
-  /// Registers spout roots when acking (lazy peek on the serialized tuple).
-  void MaybeRegisterRoots(TaskId src_task, serde::BytesView tuple_bytes);
+  /// Registers spout roots when acking (lazy peek on the serialized tuple)
+  /// at `now`, the batch's one clock reading.
+  void MaybeRegisterRoots(serde::BytesView tuple_bytes, int64_t now);
 
   /// Addresses `env` to `dest` and sends it to the task's instance when
   /// the task is local, else to its container's SMGR. A task the plan

@@ -11,6 +11,26 @@
 
 namespace heron {
 namespace tmaster {
+namespace {
+
+/// Sends a coordinator-originated barrier message (origin -1) straight
+/// into `task`'s inbound channel.
+Status SendToTask(smgr::Transport* transport, TaskId task, uint8_t kind,
+                  uint64_t ckpt_id) {
+  proto::CheckpointBarrierMsg msg;
+  msg.ckpt_id = ckpt_id;
+  msg.origin_task = -1;
+  msg.kind = kind;
+  serde::Buffer payload = transport->buffer_pool()->Acquire();
+  serde::WireEncoder enc(&payload);
+  msg.SerializeTo(&enc);
+  proto::Envelope env(proto::MessageType::kCheckpointBarrier,
+                      std::move(payload));
+  env.dest_task = task;
+  return transport->TrySend(smgr::Transport::InstanceEndpoint(task), &env);
+}
+
+}  // namespace
 
 CheckpointCoordinator::CheckpointCoordinator(const Options& options,
                                              statemgr::IStateManager* state,
@@ -90,18 +110,8 @@ uint64_t CheckpointCoordinator::TriggerNow() {
   for (const TaskId task : plan->all_tasks()) {
     const api::ComponentDef* def = plan->ComponentOfTask(task);
     if (def == nullptr || def->kind != api::ComponentKind::kSpout) continue;
-    proto::CheckpointBarrierMsg msg;
-    msg.ckpt_id = id;
-    msg.origin_task = -1;
-    msg.kind = proto::CheckpointBarrierMsg::kTrigger;
-    serde::Buffer payload = transport_->buffer_pool()->Acquire();
-    serde::WireEncoder enc(&payload);
-    msg.SerializeTo(&enc);
-    proto::Envelope env(proto::MessageType::kCheckpointBarrier,
-                        std::move(payload));
-    env.dest_task = task;
-    const Status send =
-        transport_->TrySend(smgr::Transport::InstanceEndpoint(task), &env);
+    const Status send = SendToTask(
+        transport_, task, proto::CheckpointBarrierMsg::kTrigger, id);
     if (!send.ok()) {
       HLOG(WARNING) << "checkpoint " << id << ": trigger for spout " << task
                     << " undeliverable (" << send.ToString() << ")";
@@ -175,6 +185,19 @@ void CheckpointCoordinator::AbortInFlightLocked() {
         observability::JournalEventType::kCheckpointAborted,
         /*origin=*/-1, /*task=*/-1, clock_->NowNanos(),
         /*arg0=*/static_cast<int64_t>(in_flight_), /*arg1=*/0);
+  }
+  // A bolt that saw some of this checkpoint's barriers buffers those
+  // channels until alignment ends; kAbort ends it now rather than when a
+  // newer checkpoint's barrier overtakes. A bolt it cannot reach is dead
+  // or restarting, and its next incarnation starts unaligned.
+  if (in_flight_plan_ != nullptr) {
+    for (const TaskId task : in_flight_plan_->all_tasks()) {
+      const api::ComponentDef* def = in_flight_plan_->ComponentOfTask(task);
+      if (def == nullptr || def->kind != api::ComponentKind::kBolt) continue;
+      SendToTask(transport_, task, proto::CheckpointBarrierMsg::kAbort,
+                 in_flight_)
+          .ok();
+    }
   }
   in_flight_ = 0;
   in_flight_plan_.reset();

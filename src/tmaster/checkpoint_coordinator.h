@@ -29,6 +29,8 @@ namespace tmaster {
 /// physical plan, the checkpoint is globally complete — the node's data
 /// flips to "complete", the parent's data records the id as the latest
 /// restorable checkpoint, and superseded checkpoint trees are deleted.
+/// An abort (recovery, plan change, stale timeout) injects a kAbort the
+/// same direct way into every bolt, ending any partial alignment.
 ///
 /// Thread-safety: all entry points lock; the coordinator is driven from
 /// the monitor reactor (Tick) and poked by tests (TriggerNow) and the
@@ -71,7 +73,9 @@ class CheckpointCoordinator {
   uint64_t TriggerNow();
 
   /// Abandons the in-flight checkpoint (recovery path: a participant
-  /// died, so it can never complete). Its partial tree is deleted.
+  /// died, so it can never complete). Its partial tree is deleted, and
+  /// every bolt task of its plan is sent a kAbort so that a partial
+  /// alignment releases its buffered channels.
   void AbortInFlight();
 
   /// Latest globally-complete checkpoint id (0 = none yet) — what a

@@ -13,6 +13,8 @@
 #include "packing/round_robin_packing.h"
 #include "smgr/ack_tracker.h"
 #include "statemgr/in_memory_state_manager.h"
+#include "tests/common/counting_clock.h"
+#include "tmaster/checkpoint_coordinator.h"
 #include "workloads/word_count.h"
 
 namespace heron {
@@ -457,13 +459,13 @@ class InstanceAlignmentTest : public InstanceTest {
         .ShuffleGrouping("src");
     auto topology = builder.Build();
     ASSERT_TRUE(topology.ok());
-    const auto plan = PlanFor(*topology);
-    a_ = plan->TasksOfComponent("src").at(0);
-    b_ = plan->TasksOfComponent("src").at(1);
+    plan_ = PlanFor(*topology);
+    a_ = plan_->TasksOfComponent("src").at(0);
+    b_ = plan_->TasksOfComponent("src").at(1);
     HeronInstance::Options options;
-    options.task = plan->TasksOfComponent("rec").at(0);
+    options.task = plan_->TasksOfComponent("rec").at(0);
     options.checkpoint_state = &state_;
-    bolt_ = std::make_unique<HeronInstance>(options, plan, transport_.get(),
+    bolt_ = std::make_unique<HeronInstance>(options, plan_, transport_.get(),
                                             RealClock::Get(), nullptr);
     ASSERT_TRUE(bolt_->StartStepMode().ok());
   }
@@ -540,6 +542,7 @@ class InstanceAlignmentTest : public InstanceTest {
   statemgr::InMemoryStateManager state_;
   std::shared_ptr<std::vector<SeenTuple>> seen_ =
       std::make_shared<std::vector<SeenTuple>>();
+  std::shared_ptr<const proto::PhysicalPlan> plan_;
   TaskId a_ = -1;
   TaskId b_ = -1;
   std::unique_ptr<HeronInstance> bolt_;
@@ -627,6 +630,148 @@ TEST_F(InstanceAlignmentTest, NewerAbortEndsOlderAlignment) {
   EXPECT_EQ(Executed(), (std::vector<int64_t>{1, 2, 3}));
   EXPECT_EQ(Count("instance.checkpoints"), 1u);
   EXPECT_EQ(ForwardedBarriers(), (std::vector<uint64_t>{7}));
+}
+
+// The coordinator's stale-timeout abort reaches the bolts: a bolt that
+// saw only spout A's barrier releases the batch it parked for A as soon
+// as the abort arrives, before any barrier of the next checkpoint, and
+// B's late barrier of the aborted checkpoint is dropped as stale.
+TEST_F(InstanceAlignmentTest, StaleTimeoutAbortReleasesPartialAlignment) {
+  // The spouts have no channels here, so the coordinator's triggers are
+  // undeliverable; keep their warnings out of the log.
+  Logging::SetLevel(LogLevel::kError);
+  SimClock clock(0);
+  tmaster::CheckpointCoordinator::Options coordinator_options;
+  coordinator_options.topology = "inst-align";
+  coordinator_options.interval_ms = 10;
+  coordinator_options.stale_timeout_multiple = 5;
+  tmaster::CheckpointCoordinator coordinator(coordinator_options, &state_,
+                                             transport_.get(), &clock);
+  coordinator.SetPlan(plan_);
+
+  clock.AdvanceMillis(10);
+  coordinator.Tick(clock.NowNanos());
+  ASSERT_EQ(coordinator.in_flight(), 1u);
+  SendBarrier(1, a_);  // Only A's barrier arrives.
+  SendBatch(a_, 1);    // Post-barrier on A: parked.
+  EXPECT_TRUE(Executed().empty());
+
+  clock.AdvanceMillis(50);  // Five intervals: checkpoint 1 is stale.
+  coordinator.Tick(clock.NowNanos());
+  EXPECT_EQ(coordinator.aborted(), 1u);
+  EXPECT_EQ(coordinator.in_flight(), 2u);  // The cadence moved on.
+  bolt_->loop()->RunOnce();                // Handles the kAbort.
+  EXPECT_EQ(Count("instance.checkpoint.aborts"), 1u);
+  EXPECT_EQ(Executed(), (std::vector<int64_t>{1}));
+
+  SendBarrier(1, b_);  // B's late barrier of the aborted checkpoint.
+  SendBatch(a_, 2);
+  SendBatch(b_, 3);
+  EXPECT_EQ(Executed(), (std::vector<int64_t>{1, 2, 3}));
+  EXPECT_EQ(Count("instance.aligned.buffered"), 1u);
+  EXPECT_EQ(Count("instance.checkpoints"), 0u);
+  EXPECT_TRUE(ForwardedBarriers().empty());
+}
+
+/// Emits 16 tracked tuples per NextTuple round, and one untracked tuple
+/// (value -1) from Fail.
+class RoundSpout final : public api::ISpout {
+ public:
+  static constexpr int kPerRound = 16;
+
+  void Open(const Config&, api::TopologyContext*,
+            api::ISpoutOutputCollector* collector) override {
+    collector_ = collector;
+  }
+  void NextTuple() override {
+    for (int i = 0; i < kPerRound; ++i) {
+      collector_->Emit({api::Value(next_id_)}, next_id_);
+      ++next_id_;
+    }
+  }
+  void Fail(int64_t) override { collector_->Emit({api::Value(int64_t{-1})}); }
+
+ private:
+  api::ISpoutOutputCollector* collector_ = nullptr;
+  int64_t next_id_ = 0;
+};
+
+// One clock read per spout round: every tuple of one NextTuple call
+// carries the stamp its first emit read, the next round reads a later
+// one, and an emit from Fail (outside any round) reads its own time.
+TEST_F(InstanceTest, SpoutRoundSharesOneEmitStamp) {
+  auto seen = std::make_shared<std::vector<SeenTuple>>();
+  api::TopologyBuilder builder("inst-rounds");
+  builder.SetSpout("src", [] { return std::make_unique<RoundSpout>(); }, 1)
+      .OutputFields({"id"});
+  builder
+      .SetBolt(
+          "rec", [seen] { return std::make_unique<RecordingBolt>(seen); }, 1)
+      .ShuffleGrouping("src");
+  auto topology = builder.Build();
+  ASSERT_TRUE(topology.ok());
+
+  CountingClock clock(/*nanos_per_read=*/1000);  // No two reads agree.
+  HeronInstance::Options options;
+  options.task = 0;  // The spout.
+  options.acking = true;
+  options.config.SetBool(config_keys::kAckingEnabled, true);
+  HeronInstance spout(options, PlanFor(*topology), transport_.get(), &clock,
+                      nullptr);
+  ASSERT_TRUE(spout.StartStepMode().ok());
+
+  struct Emitted {
+    int64_t value = 0;
+    int64_t emit_time = 0;
+    std::vector<api::TupleKey> roots;
+  };
+  const auto drain = [this] {
+    std::vector<Emitted> out;
+    while (auto env = smgr_inbound_->TryRecv()) {
+      proto::TupleBatchMsg batch;
+      EXPECT_TRUE(batch.ParseFromBytes(env->payload).ok());
+      for (const auto& bytes : batch.tuples) {
+        proto::TupleDataMsg msg;
+        EXPECT_TRUE(msg.ParseFromBytes(bytes).ok());
+        out.push_back({std::get<int64_t>(msg.values.at(0)),
+                       msg.emit_time_nanos, msg.roots});
+      }
+    }
+    return out;
+  };
+  const auto expect_one_round = [](const std::vector<Emitted>& round) {
+    ASSERT_EQ(round.size(), static_cast<size_t>(RoundSpout::kPerRound));
+    for (const Emitted& e : round) {
+      EXPECT_EQ(e.emit_time, round.front().emit_time) << "id " << e.value;
+    }
+  };
+
+  spout.loop()->RunOnce();  // Open, then round 1.
+  const std::vector<Emitted> first = drain();
+  expect_one_round(first);
+  spout.loop()->RunOnce();
+  const std::vector<Emitted> second = drain();
+  expect_one_round(second);
+  EXPECT_GT(second.front().emit_time, first.front().emit_time);
+
+  // A failed root: the Fail callback emits before the step's round does.
+  ASSERT_EQ(first.front().roots.size(), 1u);
+  proto::RootEventMsg event;
+  event.events.push_back({first.front().roots[0], /*fail=*/true});
+  ASSERT_TRUE(spout.inbound()
+                  ->TrySend(proto::Envelope(proto::MessageType::kRootEvent,
+                                            event.SerializeAsBuffer()))
+                  .ok());
+  spout.loop()->RunOnce();
+  std::vector<Emitted> third = drain();
+  ASSERT_FALSE(third.empty());
+  const Emitted from_fail = third.front();
+  EXPECT_EQ(from_fail.value, -1);
+  third.erase(third.begin());
+  expect_one_round(third);
+  EXPECT_GT(from_fail.emit_time, second.front().emit_time);
+  EXPECT_GT(third.front().emit_time, from_fail.emit_time);
+  spout.Stop();
 }
 
 TEST_F(InstanceTest, StartRejectsUnknownTask) {

@@ -9,6 +9,8 @@
 
 #include "common/clock.h"
 #include "ipc/channel.h"
+#include "metrics/metrics.h"
+#include "tests/common/counting_clock.h"
 
 namespace heron {
 namespace runtime {
@@ -130,6 +132,51 @@ TEST(TaskletTest, SliceRunsManyStepsForIdleWorkerProgress) {
   EXPECT_EQ(calls, 32);
 }
 
+// The clock budget of a slice: Drive() reads the clock once for the
+// slice's start and each step once for its end, which is also the next
+// step's start — steps + 1 reads, even with a registry timing every step.
+// Plain RunOnce() still reads its own start.
+TEST(TaskletTest, SliceReadsTheClockOncePerStepPlusOnce) {
+  constexpr int64_t kTick = 1000;  // Every read moves time 1 us.
+  CountingClock clock(kTick);
+  metrics::MetricsRegistry registry;
+  EventLoop::Options loop_options = LoopOptions("lone");
+  loop_options.registry = &registry;
+  loop_options.metric_prefix = "lone";
+  EventLoop loop(loop_options, &clock);
+  int calls = 0;
+  loop.AddIdle([&calls] {
+    ++calls;
+    return true;
+  });
+  std::vector<int64_t> service_times;
+  loop.AddService([&service_times](int64_t now) {
+    service_times.push_back(now);
+    return EventLoop::kNoDeadline;
+  });
+  const size_t steps = TaskletOptions().max_steps_per_slice;
+  Tasklet tasklet(&loop, TaskletOptions(), &clock);
+  for (int slice = 0; slice < 3; ++slice) {
+    const uint64_t before = clock.reads();
+    EXPECT_TRUE(tasklet.Drive());
+    EXPECT_EQ(clock.reads() - before, steps + 1) << "slice " << slice;
+    // The slice spans its steps' end readings, one tick each.
+    EXPECT_EQ(tasklet.slice_end_nanos() - tasklet.slice_start_nanos(),
+              static_cast<int64_t>(steps) * kTick);
+  }
+  EXPECT_EQ(calls, static_cast<int>(3 * steps));
+  // Each step's busy time runs from its start (the previous reading) to
+  // its end: one tick per step, and services saw each step's start.
+  EXPECT_EQ(registry.GetCounter("lone.loop.busy.ns")->value(),
+            3 * steps * kTick);
+  ASSERT_EQ(service_times.size(), 3 * steps);
+  EXPECT_EQ(service_times[1] - service_times[0], kTick);
+
+  const uint64_t before = clock.reads();
+  EXPECT_TRUE(loop.RunOnce());
+  EXPECT_EQ(clock.reads() - before, 2u);
+}
+
 // A drained loop ends its slice immediately instead of spinning the cap.
 TEST(TaskletTest, NoWorkEndsSliceAfterOneStep) {
   SimClock clock(0);
@@ -184,10 +231,10 @@ TEST(TaskletPoolTest, DriveAllStepsEveryMemberUntilDone) {
 
 // The default step cap bounds the handoff between a producer and its
 // consumer on one worker: a spout-like loop whose idle worker always
-// emits gets at most 8 rounds per pass, so each pass hands the consumer
+// emits gets at most 4 rounds per pass, so each pass hands the consumer
 // a small batch instead of one long production run.
 TEST(TaskletPoolTest, DefaultSliceBoundsProducerRoundsPerPass) {
-  constexpr int kCap = 8;
+  constexpr int kCap = 4;
   TaskletPool::Options options;
   options.workers = 1;
   options.threaded = false;
@@ -243,11 +290,15 @@ TEST(TaskletPoolTest, RetiredMemberStopsBeingDriven) {
   pool.DriveAll();
   const int before = calls;
   EXPECT_GT(before, 0);
+  EXPECT_EQ(pool.num_members(), 1u);
 
   pool.Retire(handle);
   pool.Retire(handle);  // Idempotent.
   pool.DriveAll();
   EXPECT_EQ(calls, before);  // No further drives after Retire.
+  // Retire moved the membership generation, so that pass rebuilt the
+  // worker's snapshot and pruned the handle.
+  EXPECT_EQ(pool.num_members(), 0u);
   pool.Retire(nullptr);      // Null is a no-op.
 }
 

@@ -9,9 +9,11 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <string>
 
 #include "common/logging.h"
 #include "packing/round_robin_packing.h"
+#include "tests/common/counting_clock.h"
 #include "workloads/word_count.h"
 
 namespace heron {
@@ -287,6 +289,35 @@ TEST_F(StreamManagerTest, AckLifecycleCompletesRoot) {
   ASSERT_EQ(envelopes[0].size(), 1u);
   EXPECT_EQ(envelopes[0][0].root, root);
   EXPECT_FALSE(envelopes[0][0].fail);
+}
+
+// Root registration reads the clock once per acking instance batch, not
+// once per tuple: every root of the batch registers at that one reading.
+TEST_F(StreamManagerTest, AckingInstanceBatchReadsTheClockOnce) {
+  CountingClock clock(/*nanos_per_read=*/1000);
+  Transport transport;
+  StreamManager smgr(BaseOptions(/*acking=*/true), physical_, &transport,
+                     &clock);
+  EnvelopeChannel bolt2(64), remote_smgr(64);
+  ASSERT_TRUE(transport.RegisterInstance(2, &bolt2).ok());
+  ASSERT_TRUE(transport.RegisterSmgr(1, &remote_smgr).ok());
+
+  proto::TupleBatchMsg batch;
+  batch.src_task = 0;
+  batch.dest_task = -1;
+  batch.src_component = "word";
+  for (uint64_t i = 1; i <= 16; ++i) {
+    proto::TupleDataMsg msg;
+    msg.tuple_key = proto::MakeRootKey(0, i);
+    msg.roots.push_back(msg.tuple_key);
+    msg.values.emplace_back(std::string("w") + std::to_string(i));
+    batch.tuples.push_back(msg.SerializeAsBuffer());
+  }
+  const uint64_t before = clock.reads();
+  smgr.ProcessEnvelope(proto::Envelope(proto::MessageType::kTupleBatch,
+                                       batch.SerializeAsBuffer()));
+  EXPECT_EQ(clock.reads() - before, 1u);
+  EXPECT_EQ(smgr.acks_pending(), 16u);
 }
 
 TEST_F(StreamManagerTest, AckBatchShipsOneRootEventEnvelopePerSpoutTask) {
