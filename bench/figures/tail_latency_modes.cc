@@ -5,7 +5,7 @@
 // outnumber cores, thread-per-instance hands every tuple handoff to the
 // kernel scheduler, and the p99.9/p99.99 complete latency inflates by the
 // scheduling quantum. The cooperative engine multiplexes every module
-// loop onto a fixed worker set with bounded (AIMD-autotuned) slices, so
+// loop onto a fixed worker set with bounded, cost-clamped slices, so
 // the deep tail is a function of the pass length — microseconds — rather
 // than of CFS wakeup jitter — milliseconds.
 //

@@ -23,7 +23,10 @@ re-runs interleaved rounds before judging its 5x bar;
 transport_zero_copy enforces its 5x floor in-process). The HEADLINES
 table names the gated metric per figure with its direction; figures
 absent from the table get the name-based direction guess over every
-metric, advisory only.
+metric, advisory only. A metric whose name gives no direction is listed
+as *unjudged*: baseline and current side by side, no change, never
+failing, and counted in the summary line, so no archived row is
+silently dropped.
 
 Usage:
   scripts/bench_compare.py --baseline bench/baselines --current build/bench
@@ -126,7 +129,9 @@ def relative_change(baseline, current, direction):
 
 def compare(baselines, currents, tolerance):
     """Returns (rows, failures). Row: (bench, scenario, metric, base,
-    cur, regression_fraction, gated, failed)."""
+    cur, regression_fraction, gated, status), status one of "FAIL", "ok"
+    (gated, within tolerance), "info" (advisory) or "unjudged" (no known
+    direction; regression_fraction is None)."""
     rows = []
     failures = []
     for bench, base_results in sorted(baselines.items()):
@@ -136,7 +141,7 @@ def compare(baselines, currents, tolerance):
             # regression of the CI contract.
             failures.append((bench, "<missing>", "<missing>"))
             rows.append((bench, "<missing BENCH json>", "", None, None,
-                         None, True, True))
+                         None, True, "FAIL"))
             continue
         headline = HEADLINES.get(bench)
         for scenario, metrics in sorted(base_results.items()):
@@ -148,42 +153,47 @@ def compare(baselines, currents, tolerance):
                     if gated:
                         failures.append((bench, scenario, metric))
                     rows.append((bench, scenario, metric, base_value, None,
-                                 None, gated, gated))
+                                 None, gated, "FAIL" if gated else "info"))
                     continue
                 direction = (headline[2] if gated
                              else guess_direction(metric))
                 if direction is None:
+                    rows.append((bench, scenario, metric, base_value,
+                                 cur_value, None, False, "unjudged"))
                     continue
                 change = relative_change(base_value, cur_value, direction)
                 failed = gated and change > tolerance
                 if failed:
                     failures.append((bench, scenario, metric))
+                status = "FAIL" if failed else ("ok" if gated else "info")
                 rows.append((bench, scenario, metric, base_value, cur_value,
-                             change, gated, failed))
+                             change, gated, status))
     return rows, failures
 
 
 def format_report(rows, failures, tolerance):
     lines = ["# Bench regression report", ""]
     lines.append(f"Tolerance: {tolerance:.0%} on each figure's headline "
-                 "metric. Non-headline rows are advisory.")
+                 "metric. Non-headline rows are advisory; unjudged rows "
+                 "have no known direction and are never judged.")
     lines.append("")
     lines.append("| bench | scenario | metric | baseline | current | "
                  "change | gated | status |")
     lines.append("|---|---|---|---|---|---|---|---|")
-    for bench, scenario, metric, base, cur, change, gated, failed in rows:
+    for bench, scenario, metric, base, cur, change, gated, status in rows:
         fmt = lambda v: "-" if v is None else f"{v:.4g}"
         delta = "-" if change is None else f"{-change:+.1%}"
-        status = "FAIL" if failed else ("ok" if gated else "info")
         lines.append(f"| {bench} | {scenario} | {metric} | {fmt(base)} | "
                      f"{fmt(cur)} | {delta} | {'yes' if gated else 'no'} | "
                      f"{status} |")
     lines.append("")
+    unjudged = sum(1 for row in rows if row[7] == "unjudged")
     if failures:
-        lines.append(f"**{len(failures)} gated regression(s):** " +
-                     ", ".join(f"{b}/{s}/{m}" for b, s, m in failures))
+        summary = (f"**{len(failures)} gated regression(s):** " +
+                   ", ".join(f"{b}/{s}/{m}" for b, s, m in failures))
     else:
-        lines.append("No gated regressions.")
+        summary = "No gated regressions."
+    lines.append(f"{summary} {unjudged} unjudged row(s).")
     lines.append("")
     return "\n".join(lines)
 
@@ -226,8 +236,20 @@ def self_test():
         print("self-test FAILED: missing BENCH json not flagged",
               file=sys.stderr)
         return 1
+    # A metric with no known direction is listed, counted and never
+    # judged, however far it moves.
+    unjudged_base = {"ablation_packing": {"rr": {"containers": 4}}}
+    unjudged_cur = {"ablation_packing": {"rr": {"containers": 40}}}
+    rows, failures = compare(unjudged_base, unjudged_cur, tolerance=0.15)
+    report = format_report(rows, failures, tolerance=0.15)
+    row = "| ablation_packing | rr | containers | 4 | 40 | - | no | unjudged |"
+    if failures or row not in report or "1 unjudged row(s)" not in report:
+        print(f"self-test FAILED: unjudged metric not listed or it tripped "
+              f"the gate: {failures}\n{report}", file=sys.stderr)
+        return 1
     print("self-test passed: 20% injected regression trips the gate, a "
-          "10% dip does not, a missing archive fails.")
+          "10% dip does not, a missing archive fails, an unjudged metric "
+          "is listed and never fails.")
     return 0
 
 

@@ -140,9 +140,13 @@ inline constexpr char kExecutionMode[] = "heron.execution.mode";
 /// work (see runtime::IdlePolicy).
 inline constexpr char kExecutionIdlePolicy[] = "heron.execution.idle.policy";
 /// Cooperative worker count; 0 (default) = one per hardware core.
+/// Negative values fail Submit.
 inline constexpr char kExecutionWorkers[] = "heron.execution.workers";
 /// Cooperative slice budget: target wall nanoseconds for one tasklet
-/// slice; the tuples-per-slice burst is autotuned (AIMD) against it.
+/// slice, in (0, 1e9]; other values fail Submit. One step may run for 8
+/// slice targets; a step drains the loop's own burst, clamped by the
+/// per-envelope cost to fit that bound (8 per source while the loop is
+/// cold, see runtime::Tasklet).
 inline constexpr char kExecutionSliceNanos[] =
     "heron.execution.slice.target.nanos";
 

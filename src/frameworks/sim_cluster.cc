@@ -52,21 +52,9 @@ Result<NodeId> SimCluster::NodeOf(AllocationId id) const {
   return it->second.node;
 }
 
-int SimCluster::num_nodes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return static_cast<int>(nodes_.size());
-}
-
 size_t SimCluster::num_allocations() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return allocations_.size();
-}
-
-Resource SimCluster::TotalCapacity() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Resource total;
-  for (const auto& n : nodes_) total += n.capacity;
-  return total;
 }
 
 Resource SimCluster::TotalUsed() const {

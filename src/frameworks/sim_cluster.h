@@ -37,9 +37,7 @@ class SimCluster {
   /// Node hosting a live allocation.
   Result<NodeId> NodeOf(AllocationId id) const;
 
-  int num_nodes() const;
   size_t num_allocations() const;
-  Resource TotalCapacity() const;
   Resource TotalUsed() const;
   /// Free resources on one node.
   Result<Resource> FreeOn(NodeId node) const;

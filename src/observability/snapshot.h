@@ -88,7 +88,7 @@ struct TopologySnapshot {
     uint64_t workers = 0;
     uint64_t tasklets = 0;
     uint64_t slices = 0;          ///< Slices driven (tasklet counters).
-    uint64_t overruns = 0;        ///< Slices that blew their budget.
+    uint64_t overruns = 0;        ///< Steps that blew the step bound.
     double occupancy = 0;         ///< Worker busy / wall ratio.
     double busy_ms = 0;           ///< Summed worker busy wall-clock.
     double wall_ms = 0;           ///< Summed worker uptime.

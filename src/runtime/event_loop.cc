@@ -12,9 +12,7 @@ EventLoop::EventLoop(const Options& options, const Clock* clock)
   if (options_.registry != nullptr) {
     const std::string& p = options_.metric_prefix;
     thread_cpu_ = options_.registry->GetGauge(p + ".thread.cpu.ns");
-    iter_latency_ = options_.registry->GetHistogram(p + ".loop.iter.ns");
     wakeup_counter_ = options_.registry->GetCounter(p + ".loop.wakeups");
-    iteration_counter_ = options_.registry->GetCounter(p + ".loop.iterations");
     idle_throttled_counter_ =
         options_.registry->GetCounter(p + ".loop.idle.throttled");
     busy_ns_counter_ = options_.registry->GetCounter(p + ".loop.busy.ns");
@@ -146,10 +144,7 @@ size_t EventLoop::FireDueTimers(int64_t now) {
   return fired;
 }
 
-bool EventLoop::Step(int64_t start) {
-  iterations_.fetch_add(1, std::memory_order_relaxed);
-  if (iteration_counter_ != nullptr) iteration_counter_->Increment();
-
+bool EventLoop::Step(int64_t start, size_t burst) {
   bool did_work = FireDueTimers(start) > 0;
 
   // Drain a bounded burst from every source, registration order.
@@ -161,7 +156,7 @@ bool EventLoop::Step(int64_t start) {
     has_sources = true;
     if (source.closed) continue;
     size_t handled = 0;
-    source.closed = source.poll(options_.burst, &handled);
+    source.closed = source.poll(burst, &handled);
     last_step_handled_ += handled;
     if (handled > 0) did_work = true;
     if (!source.closed) any_open = true;
@@ -210,13 +205,11 @@ bool EventLoop::Step(int64_t start) {
 
   const int64_t end = clock_->NowNanos();
   last_step_end_nanos_ = end;
-  if (iter_latency_ != nullptr) {
-    const int64_t busy = std::max<int64_t>(end - start, 0);
-    iter_latency_->Record(static_cast<uint64_t>(busy));
-    busy_ns_counter_->Increment(static_cast<uint64_t>(busy));
+  if (busy_ns_counter_ != nullptr) {
+    busy_ns_counter_->Increment(
+        static_cast<uint64_t>(std::max<int64_t>(end - start, 0)));
   }
-  if (thread_cpu_ != nullptr &&
-      (iterations_.load(std::memory_order_relaxed) & 1023) == 0) {
+  if (thread_cpu_ != nullptr && (++steps_ & 1023) == 0) {
     thread_cpu_->Set(ThreadCpuNanos());
   }
   return did_work;
@@ -245,18 +238,18 @@ void EventLoop::Shutdown() {
 
 bool EventLoop::RunOnce() {
   EnsureStartup();
-  return Step(clock_->NowNanos());
+  return Step(clock_->NowNanos(), options_.burst);
 }
 
-bool EventLoop::RunOnce(int64_t start_nanos) {
+bool EventLoop::RunOnce(int64_t start_nanos, size_t burst_cap) {
   EnsureStartup();
-  return Step(start_nanos);
+  return Step(start_nanos, std::min(options_.burst, burst_cap));
 }
 
 void EventLoop::Run() {
   EnsureStartup();
   while (!ShouldExit()) {
-    const bool did_work = Step(clock_->NowNanos());
+    const bool did_work = Step(clock_->NowNanos(), options_.burst);
     if (ShouldExit()) break;
     if (did_work) continue;  // Hot: drain everything before parking.
 

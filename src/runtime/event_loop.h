@@ -62,10 +62,11 @@ namespace runtime {
 /// ## Instrumentation
 /// When `Options::registry` is set, the loop maintains uniformly-named
 /// per-loop metrics (previously re-implemented inconsistently by every
-/// module loop): `<prefix>.thread.cpu.ns` gauge, `<prefix>.loop.iter.ns`
-/// histogram, `<prefix>.loop.wakeups` and `<prefix>.loop.iterations`
-/// counters, plus the profiler triple `<prefix>.loop.busy.ns` /
-/// `<prefix>.loop.idle.ns` counters and the
+/// module loop): the `<prefix>.thread.cpu.ns` gauge (the driving thread's
+/// CPU time, sampled one step in 1024 and at shutdown; Fig. 14 reads it),
+/// the `<prefix>.loop.busy.ns` and `<prefix>.loop.idle.ns` counters (wall
+/// time inside steps and parked in Run()), the `<prefix>.loop.wakeups`
+/// and `<prefix>.loop.idle.throttled` counters, and the
 /// `<prefix>.loop.handled.watermark` gauge (deepest single-iteration
 /// drain ever observed — the queue-depth high-water mark an operator
 /// reads to size bursts).
@@ -177,11 +178,13 @@ class EventLoop {
   /// or idle worker progressed.
   bool RunOnce();
   /// RunOnce() whose iteration starts at `start_nanos`, a Clock reading the
-  /// caller already holds: timers and services see it as `now`, and the
-  /// step reads the clock only for its end (last_step_end_nanos()). A
-  /// tasklet stepping back to back passes each step's end as the next
-  /// step's start, so one step costs one clock read.
-  bool RunOnce(int64_t start_nanos);
+  /// caller already holds, and drains at most min(`Options::burst`,
+  /// `burst_cap`) envelopes per source: timers and services see the start
+  /// as `now`, and the step reads the clock only for its end
+  /// (last_step_end_nanos()). A tasklet stepping back to back passes each
+  /// step's end as the next step's start, so one step costs one clock
+  /// read, and passes its cold cap or cost clamp as `burst_cap`.
+  bool RunOnce(int64_t start_nanos, size_t burst_cap);
 
   /// Spawns a thread running Run().
   void Start();
@@ -202,15 +205,11 @@ class EventLoop {
   //
   // A tasklet drives the loop via RunOnce() from a pool worker thread
   // instead of Run() on an owned thread. These accessors expose exactly
-  // what the external driver needs: the burst knob it autotunes between
-  // slices, the exit condition Run() would have checked, the wakeup it
+  // what the external driver needs: what a step drained and when it
+  // ended, the exit condition Run() would have checked, the wakeup it
   // chains to its worker, and the deadlines that bound the worker's park.
   // All of them follow the loop's single-driver discipline.
 
-  /// Per-iteration source drain bound; cooperative tasklets retune this
-  /// between slices. Call only from the driving thread (or pre-start).
-  void set_burst(size_t burst) { options_.burst = burst; }
-  size_t burst() const { return options_.burst; }
   /// Envelopes drained across all sources by the most recent Step(): the
   /// denominator a cooperative driver needs to turn a step's wall time
   /// into a per-tuple cost estimate. Call only from the driving thread.
@@ -233,9 +232,6 @@ class EventLoop {
   // -- Introspection (tests, benches) -------------------------------------
 
   const std::string& name() const { return options_.name; }
-  uint64_t iterations() const {
-    return iterations_.load(std::memory_order_relaxed);
-  }
   uint64_t wakeups() const { return wakeups_.load(std::memory_order_relaxed); }
   /// Earliest pending timer deadline, kNoDeadline when the heap is empty.
   int64_t NextTimerDeadlineNanos() const;
@@ -269,9 +265,10 @@ class EventLoop {
     bool cancelled = false;
   };
 
-  /// One iteration starting at `start` (due timers → source bursts →
-  /// services → idle workers); reads the clock once, for its end.
-  bool Step(int64_t start);
+  /// One iteration starting at `start` (due timers → bursts of at most
+  /// `burst` per source → services → idle workers); reads the clock once,
+  /// for its end.
+  bool Step(int64_t start, size_t burst);
   /// Fires every timer with deadline <= now; returns count fired.
   size_t FireDueTimers(int64_t now);
   /// True when Run() must exit: stopped, or channels exist and all are done.
@@ -323,15 +320,15 @@ class EventLoop {
   std::atomic<bool> halted_{false};
 
   // Instrumentation.
-  std::atomic<uint64_t> iterations_{0};
   std::atomic<uint64_t> wakeups_{0};
+  /// Steps so far, for the 1-in-1024 thread CPU sample (driving thread
+  /// only; counted only with a registry).
+  uint64_t steps_ = 0;
   /// Deepest single-step drain so far, behind the watermark gauge
   /// (driving thread only).
   size_t handled_watermark_ = 0;
   metrics::Gauge* thread_cpu_ = nullptr;
-  metrics::Histogram* iter_latency_ = nullptr;
   metrics::Counter* wakeup_counter_ = nullptr;
-  metrics::Counter* iteration_counter_ = nullptr;
   metrics::Counter* idle_throttled_counter_ = nullptr;
   metrics::Counter* busy_ns_counter_ = nullptr;
   metrics::Counter* idle_ns_counter_ = nullptr;

@@ -112,6 +112,25 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
                                    execution_mode +
                                    "' (thread | cooperative)");
   }
+  // The cooperative pool's sizing, checked in every mode so a bad value
+  // fails alike in every lane: a negative worker count would wrap to a
+  // huge pool, and a slice target outside (0, 1 s] would overflow the step
+  // bound (8 targets) or the cost clamp's burst.
+  const int64_t workers =
+      merged_config_.GetIntOr(config_keys::kExecutionWorkers, 0);
+  if (workers < 0) {
+    return Status::InvalidArgument(std::string(config_keys::kExecutionWorkers) +
+                                   " must be >= 0, got " +
+                                   std::to_string(workers));
+  }
+  const int64_t slice_target_nanos =
+      merged_config_.GetIntOr(config_keys::kExecutionSliceNanos,
+                              TaskletOptions().target_slice_nanos);
+  if (slice_target_nanos <= 0 || slice_target_nanos > 1000000000) {
+    return Status::InvalidArgument(
+        std::string(config_keys::kExecutionSliceNanos) +
+        " must lie in (0, 1e9], got " + std::to_string(slice_target_nanos));
+  }
 
   // Flight recorder + scheduler profiler: always-on by default (the rings
   // are wait-free and control-plane events are rare); capacity 0 turns
@@ -137,15 +156,12 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
     TaskletPool::Options pool_options;
     pool_options.profile = journal_ring_capacity_ > 0;
     pool_options.slice_ring = slice_ring_.get();
-    pool_options.workers = static_cast<size_t>(
-        merged_config_.GetIntOr(config_keys::kExecutionWorkers, 0));
+    pool_options.workers = static_cast<size_t>(workers);
     HERON_ASSIGN_OR_RETURN(
         pool_options.idle_policy,
         ParseIdlePolicy(merged_config_.GetStringOr(
             config_keys::kExecutionIdlePolicy, "condvar-park")));
-    pool_options.tasklet.target_slice_nanos = merged_config_.GetIntOr(
-        config_keys::kExecutionSliceNanos,
-        pool_options.tasklet.target_slice_nanos);
+    pool_options.tasklet.target_slice_nanos = slice_target_nanos;
     tasklet_pool_ = std::make_unique<TaskletPool>(pool_options, clock_);
     tasklet_pool_->Start();
   }
@@ -456,9 +472,11 @@ Status LocalCluster::SwapPlan(const packing::PackingPlan& new_plan,
   // Plan-change hygiene for removed containers that are *already dead*
   // (hard-killed, or halted by RollBack): the scheduler's stop finds
   // nothing to stop, so nothing else would ever stop expecting their
-  // heartbeats, clear their recovery marker (a later same-id container
-  // must not boot as a recovered incarnation), or release the throttle
-  // refs their SMGR stranded on survivors mid-episode.
+  // heartbeats or clear their recovery marker (a later same-id container
+  // must not boot as a recovered incarnation). Throttle refs their SMGR
+  // stranded on survivors mid-episode need no release here: every
+  // survivor restarts below, and a stopping SMGR drops the refs its
+  // remote initiators held.
   for (const auto& c : old_plan.containers()) {
     if (new_plan.FindContainer(c.id) != nullptr) continue;
     bool was_failed = false;
@@ -466,10 +484,7 @@ Status LocalCluster::SwapPlan(const packing::PackingPlan& new_plan,
       std::lock_guard<std::mutex> lock(mutex_);
       was_failed = failed_containers_.erase(c.id) > 0;
     }
-    if (was_failed) {
-      tmaster_->ForgetContainer(c.id).ok();
-      smgr::AnnounceInitiatorRemoved(&transport_, c.id);
-    }
+    if (was_failed) tmaster_->ForgetContainer(c.id).ok();
   }
 
   // Scheduler applies the container diff (§IV-B onUpdate): stops removed,

@@ -365,8 +365,6 @@ TaskletPool::SchedulerStats TaskletPool::CollectStats(int64_t now_nanos) const {
     ++stats.tasklets;
     stats.slices += handle->tasklet.slices();
     stats.overruns += handle->tasklet.overruns();
-    stats.budget_sum += handle->tasklet.budget();
-    stats.cost_ewma_sum += handle->tasklet.cost_ewma_nanos();
   }
   return stats;
 }

@@ -1,8 +1,10 @@
 #ifndef HERON_RUNTIME_TASKLET_H_
 #define HERON_RUNTIME_TASKLET_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -40,26 +42,12 @@ enum class IdlePolicy {
 Result<IdlePolicy> ParseIdlePolicy(std::string_view text);
 const char* IdlePolicyName(IdlePolicy policy);
 
-/// Knobs for one tasklet's slice autotuner (see Tasklet).
+/// Knobs for one tasklet's slice (see Tasklet).
 struct TaskletOptions {
-  /// Target wall time for one Drive() slice. A single RunOnce() step is
-  /// the uninterruptible unit, so overrunning steps halve the burst
-  /// budget while in-budget steps grow it additively — AIMD against
-  /// overrun, so a tasklet that turns expensive (bigger tuples, slower
-  /// Execute) backs off fast and re-probes slowly.
+  /// Target wall time for one Drive() slice: a tasklet's fair share of a
+  /// pass. The bound on one uninterruptible RunOnce() step is
+  /// Tasklet::kStepBoundSlices times this target.
   int64_t target_slice_nanos = 200000;  // 200 us.
-  /// Bound on one uninterruptible RunOnce() step; 0 = 8x the slice
-  /// target. Distinct from the slice target on purpose: the slice is a
-  /// tasklet's fair share of a pass, while the step bound is the worst
-  /// stall one tasklet may inflict on its worker. Sizing steps to the
-  /// slice target itself would convoy bursty traffic — a 64-tuple burst
-  /// whose drain costs a few slice targets of CPU would be doled out a
-  /// handful of tuples per pass, turning microseconds of work into
-  /// milliseconds of queueing.
-  int64_t max_step_nanos = 0;
-  size_t min_burst = 8;
-  size_t max_burst = 1024;
-  size_t burst_step = 32;  ///< Additive increase per in-budget step.
   /// Deterministic bound on RunOnce() steps per slice. The wall-time
   /// check cannot be the only slice bound: under a virtual clock time
   /// never advances inside Drive(), and idle-worker progress (a spout's
@@ -81,13 +69,14 @@ struct TaskletOptions {
 ///
 /// Drive() = one slice: repeated RunOnce() steps until the slice's wall
 /// budget (`target_slice_nanos`) or the deterministic step cap is spent,
-/// or the loop reports no progress. Each step drains at most `budget_`
-/// tuples per source; one step is the uninterruptible unit, so that
-/// burst is the yield contract — a tasklet may not hog its worker past
-/// the step bound (`max_step_nanos`) — and it is autotuned instead of
-/// guessed: multiplicative decrease when a step overruns the bound,
-/// additive increase otherwise, plus a predictive per-tuple-cost clamp
-/// so the overrun case is the exception, not the steady state. Idle-worker
+/// or the loop reports no progress. Each step drains at most the loop's
+/// own `EventLoop::Options::burst` per source, the bound thread mode and
+/// step mode use too. One step is the uninterruptible unit, so a tasklet
+/// may not hog its worker past the step bound (kStepBoundSlices slice
+/// targets); two things lower a step's burst: a per-envelope cost clamp
+/// that sizes it to finish inside that bound, and a cold cap
+/// (kColdBurst) until a step has drained something to price. Steps that
+/// still run past the bound are counted (`overruns()`). Idle-worker
 /// progress (a spout's NextTuple) happens once per step, so a slice is a
 /// few steps: one step per pass would let a burst-drained consumer starve
 /// its producer of offered load, and many steps per pass would make the
@@ -96,18 +85,24 @@ struct TaskletOptions {
 /// that.
 class Tasklet {
  public:
-  /// The burst budget slow-starts from `min_burst`: additive increase
-  /// reaches `max_burst` within ~(max-min)/step in-budget steps, while
-  /// starting high would let the very first steps of a cold loop run
-  /// multi-millisecond slices (draining a pre-filled channel at full
-  /// burst) before the autotuner has any overrun signal to react to —
-  /// a startup transient that lands exactly in the p99.99 tail.
+  /// The step bound, in slice targets. Distinct from the slice target on
+  /// purpose: the slice is a tasklet's fair share of a pass, while the step
+  /// bound is the worst stall one tasklet may inflict on its worker. Sizing
+  /// steps to the slice target itself would convoy bursty traffic — a
+  /// 64-tuple burst whose drain costs a few slice targets of CPU would be
+  /// doled out a handful of tuples per pass, turning microseconds of work
+  /// into milliseconds of queueing.
+  static constexpr int64_t kStepBoundSlices = 8;
+  /// Envelopes per source a cold step may drain: until a step has drained
+  /// an envelope there is no cost to clamp by, and a full burst at an
+  /// unknown cost (a CPU-heavy Execute meeting a backlog) could stall the
+  /// worker for many step bounds. A new loop, and every loop a recovery,
+  /// rollback or scale restarts, starts cold.
+  static constexpr size_t kColdBurst = 8;
+
   Tasklet(EventLoop* loop, const TaskletOptions& options, const Clock* clock)
       : loop_(loop), options_(options), clock_(clock),
-        step_bound_nanos_(options.max_step_nanos > 0
-                              ? options.max_step_nanos
-                              : 8 * options.target_slice_nanos),
-        budget_(options.min_burst) {}
+        step_bound_nanos_(kStepBoundSlices * options.target_slice_nanos) {}
 
   /// One slice: returns whether the loop reported progress. The slice
   /// reads the clock once for its start; every step reads only its end,
@@ -119,56 +114,38 @@ class Tasklet {
     bool did_work = false;
     size_t steps = 0;
     do {
-      // Predictive clamp on top of AIMD: AIMD only reacts *after* an
-      // overrunning step has run to completion, and one full-burst step
-      // against a sudden backlog can take milliseconds — straight into
-      // the deep tail the step bound exists to cap. The per-tuple cost
-      // EWMA turns the bound into a burst the step can actually finish
-      // in time, with a floor of 1 — a loop whose single tuple costs
-      // more than the bound (a CPU-heavy Execute) drains one at a time.
-      // (The EWMA stays zero under a virtual clock, where steps take no
-      // wall time: the clamp stays off and stepping stays deterministic.)
-      size_t burst = budget_;
+      // The cost clamp: the per-envelope cost EWMA turns the step bound
+      // into a burst the step can finish in time, with a floor of 1 — a
+      // loop whose single envelope costs more than the bound (a CPU-heavy
+      // Execute) drains one at a time. Before any estimate a cold step
+      // drains at most kColdBurst per source, and a warm one (always,
+      // under a virtual clock, where steps take no time) the loop's own
+      // burst; either way stepping stays deterministic.
+      size_t burst_cap =
+          warm_ ? std::numeric_limits<size_t>::max() : kColdBurst;
       if (cost_ewma_nanos_ > 0) {
-        const size_t cap = std::max(
+        burst_cap = std::max(
             size_t{1},
             static_cast<size_t>(static_cast<double>(step_bound_nanos_) /
                                 cost_ewma_nanos_));
-        burst = std::min(burst, cap);
       }
-      loop_->set_burst(burst);
-      const bool step_work = loop_->RunOnce(now);
+      const bool step_work = loop_->RunOnce(now, burst_cap);
       const int64_t step_end = loop_->last_step_end_nanos();
       const int64_t step_elapsed = step_end - now;
       now = step_end;
       const size_t handled = loop_->last_step_handled();
-      if (handled > 0 && step_elapsed > 0) {
-        const double cost =
-            static_cast<double>(step_elapsed) / static_cast<double>(handled);
-        cost_ewma_nanos_ =
-            cost_ewma_nanos_ > 0 ? (cost_ewma_nanos_ * 7 + cost) / 8 : cost;
+      if (handled > 0) {
+        warm_ = true;
+        if (step_elapsed > 0) {
+          const double cost = static_cast<double>(step_elapsed) /
+                              static_cast<double>(handled);
+          cost_ewma_nanos_ =
+              cost_ewma_nanos_ > 0 ? (cost_ewma_nanos_ * 7 + cost) / 8 : cost;
+        }
       }
       ++steps;
-      // Only steps that did work carry a cost signal: an idle step must
-      // not creep the budget toward max, or a long-idle tasklet would
-      // meet its next flood with a cold full-burst step — the recurring
-      // version of the startup transient slow-start exists to prevent.
-      if (step_work) {
-        // Overrun = the step bound, not the slice target: a step is
-        // allowed to spend several slice targets draining a burst (that
-        // is what keeps bursts from convoying across passes); only a
-        // step that blows the uninterruptible-stall contract halves the
-        // budget.
-        if (step_elapsed > step_bound_nanos_) {
-          ++overruns_;
-          budget_ = std::max(options_.min_burst, budget_ / 2);
-        } else if (budget_ < options_.max_burst) {
-          budget_ =
-              std::min(options_.max_burst, budget_ + options_.burst_step);
-        }
-      } else {
-        break;
-      }
+      if (!step_work) break;
+      if (step_elapsed > step_bound_nanos_) ++overruns_;
       did_work = true;
     } while (steps < options_.max_steps_per_slice &&
              now - slice_start_nanos_ < options_.target_slice_nanos);
@@ -182,10 +159,11 @@ class Tasklet {
   bool Done() const { return loop_->stopped() || loop_->sources_done(); }
 
   EventLoop* loop() const { return loop_; }
-  size_t budget() const { return budget_; }
-  /// Per-tuple wall cost estimate (ns); 0 until a timed step drained work.
+  /// Per-envelope wall cost estimate (ns); 0 until a timed step drained
+  /// work.
   double cost_ewma_nanos() const { return cost_ewma_nanos_; }
   uint64_t slices() const { return slices_; }
+  /// Steps that did work and ran past the step bound.
   uint64_t overruns() const { return overruns_; }
   /// Clock readings that began and ended the most recent Drive().
   int64_t slice_start_nanos() const { return slice_start_nanos_; }
@@ -196,7 +174,7 @@ class Tasklet {
   TaskletOptions options_;
   const Clock* clock_;
   const int64_t step_bound_nanos_;
-  size_t budget_;
+  bool warm_ = false;  ///< A step has drained an envelope.
   double cost_ewma_nanos_ = 0;
   uint64_t slices_ = 0;
   uint64_t overruns_ = 0;
@@ -300,8 +278,6 @@ class TaskletPool {
     uint64_t tasklets = 0;     ///< Live handles.
     uint64_t slices = 0;       ///< Drive() slices across live tasklets.
     uint64_t overruns = 0;     ///< Steps that blew the step bound.
-    uint64_t budget_sum = 0;   ///< Sum of current autotuned burst budgets.
-    double cost_ewma_sum = 0;  ///< Sum of per-tuple cost estimates (ns).
     int64_t busy_nanos = 0;    ///< Worker wall-time inside drive passes.
     int64_t wall_nanos = 0;    ///< Worker wall-time since Run() started.
     /// Fraction of worker wall-time spent driving; 0 when unprofiled or

@@ -726,26 +726,5 @@ void StreamManager::HandleBackpressureControl(proto::MessageType type,
   backpressure_remote_->Set(static_cast<int64_t>(remote_initiators_.size()));
 }
 
-void AnnounceInitiatorRemoved(Transport* transport, ContainerId removed) {
-  proto::BackpressureMsg msg;
-  msg.initiator = removed;
-  msg.retry_depth = 0;
-  for (const ContainerId peer : transport->RegisteredSmgrs()) {
-    if (peer == removed) continue;
-    serde::Buffer payload = transport->buffer_pool()->Acquire();
-    serde::WireEncoder enc(&payload);
-    msg.SerializeTo(&enc);
-    proto::Envelope env(proto::MessageType::kStopBackpressure,
-                        std::move(payload));
-    const Status st =
-        transport->TrySend(Transport::SmgrEndpoint(peer), &env);
-    if (!st.ok()) {
-      HLOG(WARNING) << "stop-backpressure for removed initiator " << removed
-                    << " undeliverable to smgr " << peer << " ("
-                    << st.ToString() << ")";
-    }
-  }
-}
-
 }  // namespace smgr
 }  // namespace heron

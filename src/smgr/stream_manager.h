@@ -328,15 +328,6 @@ class StreamManager {
   std::vector<PendingRootEvents> root_events_;
 };
 
-/// Plan-swap hygiene: broadcasts kStopBackpressure *on behalf of* a
-/// container that a repack removed from the physical plan. If that
-/// container died (or was halted) mid-episode, every survivor still holds
-/// its throttle ref and — since the initiator no longer exists to drain
-/// and announce recovery — would hold it forever, wedging all spouts.
-/// Survivors that held no such ref treat the message as a no-op
-/// (HandleBackpressureControl erases by initiator id).
-void AnnounceInitiatorRemoved(Transport* transport, ContainerId removed);
-
 }  // namespace smgr
 }  // namespace heron
 

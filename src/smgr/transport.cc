@@ -36,11 +36,6 @@ const char* Transport::ModeName(Mode mode) {
   return "in-process";
 }
 
-Transport::Mode Transport::mode() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return options_.mode;
-}
-
 Status Transport::Configure(const Options& options) {
   std::lock_guard<std::mutex> lock(mutex_);
   if (!instances_.empty() || !smgrs_.empty()) {

@@ -103,7 +103,6 @@ class Transport {
   /// "in-process" / "socket" / "shm" -> Mode; anything else is an error.
   static Result<Mode> ParseMode(std::string_view name);
   static const char* ModeName(Mode mode);
-  Mode mode() const;
 
   Status RegisterInstance(TaskId task, EnvelopeChannel* channel);
   Status UnregisterInstance(TaskId task);

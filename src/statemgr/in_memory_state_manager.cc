@@ -206,10 +206,5 @@ Status InMemoryStateManager::CloseSession(SessionId session) {
   return Status::OK();
 }
 
-size_t InMemoryStateManager::NodeCount() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return nodes_.size();
-}
-
 }  // namespace statemgr
 }  // namespace heron

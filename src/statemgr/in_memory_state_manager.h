@@ -39,9 +39,6 @@ class InMemoryStateManager final : public IStateManager {
   Status CloseSession(SessionId session) override;
   std::string Name() const override { return "IN_MEMORY"; }
 
-  /// Test/diagnostics hook: number of nodes (excluding the root).
-  size_t NodeCount() const;
-
  private:
   struct Node {
     serde::Buffer data;

@@ -115,16 +115,8 @@ std::string BackpressureContainer(const std::string& topology, int container) {
                    container);
 }
 
-std::string Metrics(const std::string& topology) {
-  return "/topologies/" + topology + "/metrics";
-}
-
 std::string MetricsTopologyRollup(const std::string& topology) {
   return "/topologies/" + topology + "/metrics/topology";
-}
-
-std::string MetricsComponents(const std::string& topology) {
-  return "/topologies/" + topology + "/metrics/components";
 }
 
 std::string MetricsComponent(const std::string& topology,

@@ -127,13 +127,9 @@ std::string Containers(const std::string& topology);
 /// cluster-wide spout back pressure.
 std::string Backpressure(const std::string& topology);
 std::string BackpressureContainer(const std::string& topology, int container);
-/// Parent of the TMaster MetricsCache's published rollups.
-std::string Metrics(const std::string& topology);
 /// Topology-level rollup JSON (throughput, latency quantiles,
 /// backpressure time, restarts over the newest cache window).
 std::string MetricsTopologyRollup(const std::string& topology);
-/// Parent of the per-component rollups.
-std::string MetricsComponents(const std::string& topology);
 /// One component's rollup JSON.
 std::string MetricsComponent(const std::string& topology,
                              const std::string& component);

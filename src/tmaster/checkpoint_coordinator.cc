@@ -83,7 +83,6 @@ uint64_t CheckpointCoordinator::TriggerNow() {
   in_flight_ = id;
   in_flight_plan_ = plan;
   last_trigger_nanos_ = clock_->NowNanos();
-  ++triggered_;
   // The checkpoint's parent node must exist before any task writes its
   // snapshot (CreateNode requires parents); EnsurePath also covers the
   // very first checkpoint creating /topologies/<t>/checkpoints itself.
@@ -217,11 +216,6 @@ uint64_t CheckpointCoordinator::latest_complete() const {
 uint64_t CheckpointCoordinator::in_flight() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return in_flight_;
-}
-
-uint64_t CheckpointCoordinator::triggered() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return triggered_;
 }
 
 uint64_t CheckpointCoordinator::completed() const {

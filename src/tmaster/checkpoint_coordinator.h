@@ -85,7 +85,6 @@ class CheckpointCoordinator {
   /// In-flight checkpoint id (0 = none).
   uint64_t in_flight() const;
 
-  uint64_t triggered() const;
   uint64_t completed() const;
   uint64_t aborted() const;
   /// Plan installations so far; checkpoints are fenced to the epoch that
@@ -118,7 +117,6 @@ class CheckpointCoordinator {
   uint64_t in_flight_ = 0;
   uint64_t latest_complete_ = 0;
   int64_t last_trigger_nanos_ = 0;
-  uint64_t triggered_ = 0;
   uint64_t completed_ = 0;
   uint64_t aborted_ = 0;
 };

@@ -227,101 +227,5 @@ TEST_F(BackpressureStepTest, SlowContainerThrottlesRemoteSpouts) {
   EXPECT_FALSE(first.received.empty());
 }
 
-// A plan swap (scaling) can remove the very container that initiated the
-// open backpressure episode. The initiator's SMGR dies without ever
-// broadcasting kStopBackpressure, so every surviving peer holds a
-// throttle ref for a ghost — spouts cluster-wide stay paused forever.
-// AnnounceInitiatorRemoved is the TMaster-side hygiene: a kStop broadcast
-// on behalf of the departed container.
-TEST_F(BackpressureStepTest, RemovedInitiatorReleasesSurvivorThrottles) {
-  SimClock clock(0);
-  smgr::Transport transport;
-
-  smgr::StreamManager::Options opts0;
-  opts0.container = 0;
-  opts0.backpressure_high_water = 4;
-  opts0.backpressure_low_water = 2;
-  auto smgr0 = std::make_unique<smgr::StreamManager>(opts0, physical_,
-                                                     &transport, &clock);
-  smgr::StreamManager::Options opts1;
-  opts1.container = 1;
-  opts1.backpressure_high_water = 1000;
-  smgr::StreamManager smgr1(opts1, physical_, &transport, &clock);
-  smgr::StreamManager::Options opts2;
-  opts2.container = 2;
-  opts2.inbound_capacity = 2;
-  smgr::StreamManager smgr2(opts2, physical_, &transport, &clock);
-  ASSERT_TRUE(smgr0->StartStepMode().ok());
-  ASSERT_TRUE(smgr1.StartStepMode().ok());
-  ASSERT_TRUE(smgr2.StartStepMode().ok());
-
-  instance::HeronInstance::Options s0;
-  s0.task = 0;
-  s0.config = topology_config_;
-  instance::HeronInstance spout0(s0, physical_, &transport, &clock,
-                                 smgr0.get());
-  instance::HeronInstance::Options s1;
-  s1.task = 1;
-  s1.config = topology_config_;
-  instance::HeronInstance spout1(s1, physical_, &transport, &clock, &smgr1);
-  ASSERT_TRUE(spout0.StartStepMode().ok());
-  ASSERT_TRUE(spout1.StartStepMode().ok());
-
-  // Trip the episode in container 0 exactly as the throttle test does.
-  int rounds = 0;
-  while (!smgr0->local_backpressure_active() && rounds < 200) {
-    ++rounds;
-    spout0.loop()->RunOnce();
-    smgr0->loop()->RunOnce();
-    clock.AdvanceMillis(10);
-    smgr0->loop()->RunOnce();
-  }
-  ASSERT_TRUE(smgr0->local_backpressure_active());
-  smgr1.loop()->RunOnce();
-  ASSERT_TRUE(smgr1.backpressure());
-  ASSERT_EQ(smgr1.remote_backpressure_initiators(), 1u);
-
-  // The plan swap: container 0 leaves the topology. Its SMGR tears down
-  // (no kStop broadcast happens on this path) — and the survivor stays
-  // throttled no matter how long it runs. This is the stranded state.
-  spout0.Stop();
-  smgr0->Stop();
-  smgr0.reset();
-  for (int i = 0; i < 10; ++i) smgr1.loop()->RunOnce();
-  EXPECT_TRUE(smgr1.backpressure());
-  EXPECT_EQ(smgr1.remote_backpressure_initiators(), 1u);
-  const uint64_t emitted1 = spout1.metrics()
-                                ->GetCounter("instance.emitted")
-                                ->value();
-  for (int i = 0; i < 10; ++i) spout1.loop()->RunOnce();
-  EXPECT_EQ(spout1.metrics()->GetCounter("instance.emitted")->value(),
-            emitted1);
-
-  // The hygiene broadcast on behalf of the departed initiator.
-  smgr::AnnounceInitiatorRemoved(&transport, 0);
-  smgr1.loop()->RunOnce();
-  EXPECT_FALSE(smgr1.backpressure());
-  EXPECT_EQ(smgr1.remote_backpressure_initiators(), 0u);
-
-  // The spout actually resumes — the throttle ref really is gone.
-  for (int i = 0; i < 5; ++i) {
-    spout1.loop()->RunOnce();
-    smgr1.loop()->RunOnce();
-    clock.AdvanceMillis(10);
-    smgr1.loop()->RunOnce();
-  }
-  EXPECT_GT(spout1.metrics()->GetCounter("instance.emitted")->value(),
-            emitted1);
-
-  // Announcing for a container nobody holds a ref on is a harmless no-op.
-  smgr::AnnounceInitiatorRemoved(&transport, 0);
-  smgr1.loop()->RunOnce();
-  EXPECT_FALSE(smgr1.backpressure());
-
-  spout1.Stop();
-  smgr2.Stop();
-  smgr1.Stop();
-}
-
 }  // namespace
 }  // namespace heron

@@ -32,79 +32,143 @@ TEST(IdlePolicyTest, ParsesEveryKnobValue) {
   EXPECT_STREQ(IdlePolicyName(IdlePolicy::kAdaptiveSpin), "adaptive-spin");
 }
 
-// -- Tasklet slice autotune ------------------------------------------------
+// -- Tasklet burst and cost clamp ------------------------------------------
 
-// The full AIMD cycle: the budget slow-starts at min_burst (a cold loop
-// must not open with a full-burst step), grows additively while steps stay
-// cheap, then halves per overrunning step back down to the floor once
-// tuples turn expensive (simulated per-tuple cost via the SimClock).
-TEST(TaskletTest, SliceBudgetSlowStartsGrowsAndHalvesOnOverrun) {
+// Until a step has drained an envelope there is no cost to clamp by, so a
+// cold step drains at most Tasklet::kColdBurst per source; after it, with
+// no estimate, a step drains the loop's own burst per source, the bound
+// thread mode and step mode use too. Under a SimClock steps take no time,
+// so no estimate ever forms and every warm step stays at the burst.
+TEST(TaskletTest, ColdStepDrainsTheColdBurstThenTheLoopBurst) {
   SimClock clock(0);
-  EventLoop loop(LoopOptions("aimd"), &clock);
-  ipc::Channel<int> source(/*capacity=*/4096);
-  // Per-tuple cost is switchable: free first (to watch additive growth),
-  // then expensive (to watch multiplicative decrease).
-  int64_t tuple_cost_nanos = 0;
-  loop.AddChannel<int>(&source, [&clock, &tuple_cost_nanos](int&&) {
-    clock.AdvanceNanos(tuple_cost_nanos);
-  });
+  EventLoop::Options loop_options = LoopOptions("cold");
+  loop_options.burst = 128;
+  EventLoop loop(loop_options, &clock);
+  ipc::Channel<int> first(/*capacity=*/512);
+  ipc::Channel<int> second(/*capacity=*/512);
+  loop.AddChannel<int>(&first, [](int&&) {});
+  loop.AddChannel<int>(&second, [](int&&) {});
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(first.TrySend(int(i)).ok());
+    ASSERT_TRUE(second.TrySend(int(i)).ok());
+  }
 
   TaskletOptions options;
-  options.target_slice_nanos = 200000;  // Two 100us tuples fit; more do not.
-  options.min_burst = 8;
-  options.max_burst = 1024;
-  options.burst_step = 32;
+  options.max_steps_per_slice = 1;
   Tasklet tasklet(&loop, options, &clock);
-  EXPECT_EQ(tasklet.budget(), options.min_burst);  // Slow start.
-
-  // Free tuples: every worked step is in budget, +burst_step each.
-  for (int i = 0; i < 64 && tasklet.budget() < options.max_burst; ++i) {
-    for (int j = 0; j < 64; ++j) source.TrySend(int(j)).ok();
-    tasklet.Drive();
+  static_assert(Tasklet::kColdBurst == 8);
+  for (const size_t expected : {8u, 128u, 128u, 36u}) {
+    EXPECT_TRUE(tasklet.Drive());
+    EXPECT_EQ(loop.last_step_handled(), 2 * expected);
   }
-  EXPECT_EQ(tasklet.budget(), options.max_burst);
+  EXPECT_EQ(tasklet.cost_ewma_nanos(), 0.0);
+  EXPECT_EQ(tasklet.overruns(), 0u);
 
-  // Expensive tuples: the first full-burst step overruns the target by
-  // far and halves the budget — the one step the autotuner cannot see
-  // coming. But that step also seeds the per-tuple cost EWMA, so from
-  // here the predictive clamp sizes every burst to fit the slice target:
-  // sustained expensive tuples cause no further overruns, regardless of
-  // how the AIMD budget re-probes upward.
-  tuple_cost_nanos = 100000;  // 100 us per tuple.
-  for (int i = 0; i < 4096; ++i) source.TrySend(int(i)).ok();
-  EXPECT_TRUE(tasklet.Drive());
-  EXPECT_LE(tasklet.budget(), options.max_burst / 2);
-  EXPECT_GE(tasklet.overruns(), 1u);
-  EXPECT_GT(tasklet.cost_ewma_nanos(), 0.0);
-  const uint64_t overruns_after_first = tasklet.overruns();
-  for (int i = 0; i < 12 && source.size() > 0; ++i) tasklet.Drive();
-  EXPECT_EQ(tasklet.overruns(), overruns_after_first);
+  // Work that drains nothing (an idle worker, a timer) leaves a loop cold:
+  // it prices no envelope.
+  EventLoop spout(loop_options, &clock);
+  ipc::Channel<int> input(/*capacity=*/512);
+  spout.AddChannel<int>(&input, [](int&&) {});
+  spout.AddIdle([] { return true; });
+  Tasklet spout_tasklet(&spout, options, &clock);
+  EXPECT_TRUE(spout_tasklet.Drive());
+  EXPECT_EQ(spout.last_step_handled(), 0u);
+  for (int i = 0; i < 300; ++i) ASSERT_TRUE(input.TrySend(int(i)).ok());
+  for (const size_t expected : {8u, 128u}) {
+    EXPECT_TRUE(spout_tasklet.Drive());
+    EXPECT_EQ(spout.last_step_handled(), expected);
+  }
 }
 
-// Idle steps carry no cost signal and must leave the budget untouched: a
-// budget that creeps toward max while the loop idles would meet the next
-// flood with a cold full-burst step — the recurring version of the
-// startup transient slow-start exists to prevent.
-TEST(TaskletTest, IdleStepsLeaveBudgetUntouched) {
+// Once a timed step has priced an envelope, a step drains at most
+// step_bound / cost envelopes per source, floor 1, where the step bound is
+// kStepBoundSlices slice targets. Envelopes dearer than the bound drain one
+// per source per step; a cheap loop is never clamped below its burst.
+TEST(TaskletTest, CostClampSizesBurstsToTheStepBound) {
+  // Every handled envelope reads the clock once, so costs one tick, and a
+  // tick is more than the step bound.
+  TaskletOptions dear_options;
+  dear_options.target_slice_nanos = 1000;  // Step bound 8 us.
+  constexpr int64_t kDearTick = 10000;     // 10 us per envelope.
+  CountingClock dear_clock(kDearTick);
+  EventLoop dear(LoopOptions("dear"), &dear_clock);
+  ipc::Channel<int> first(/*capacity=*/512);
+  ipc::Channel<int> second(/*capacity=*/512);
+  const auto charge = [&dear_clock](int&&) { dear_clock.NowNanos(); };
+  dear.AddChannel<int>(&first, charge);
+  dear.AddChannel<int>(&second, charge);
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(first.TrySend(int(i)).ok());
+    ASSERT_TRUE(second.TrySend(int(i)).ok());
+  }
+  Tasklet dear_tasklet(&dear, dear_options, &dear_clock);
+  // The first step is cold: kColdBurst from each source, and the slice
+  // ends on its target.
+  EXPECT_TRUE(dear_tasklet.Drive());
+  EXPECT_EQ(dear.last_step_handled(), 2 * Tasklet::kColdBurst);
+  EXPECT_GT(dear_tasklet.cost_ewma_nanos(),
+            static_cast<double>(Tasklet::kStepBoundSlices *
+                                dear_options.target_slice_nanos));
+  for (int i = 0; i < 20; ++i) {
+    EXPECT_TRUE(dear_tasklet.Drive());
+    EXPECT_EQ(dear.last_step_handled(), 2u) << "step " << i + 1;
+  }
+  // Every one of those steps still ran past the bound, and was counted.
+  EXPECT_EQ(dear_tasklet.overruns(), 21u);
+
+  // An envelope at half the slice target: the clamp is the step bound
+  // over that cost, 8 slice targets / (1/2 target) = 16 per step.
   SimClock clock(0);
+  TaskletOptions options;
+  options.max_steps_per_slice = 1;
+  EventLoop priced(LoopOptions("priced"), &clock);
+  ipc::Channel<int> source(/*capacity=*/512);
+  priced.AddChannel<int>(&source, [&clock, &options](int&&) {
+    clock.AdvanceNanos(options.target_slice_nanos / 2);
+  });
+  for (int i = 0; i < 300; ++i) ASSERT_TRUE(source.TrySend(int(i)).ok());
+  Tasklet priced_tasklet(&priced, options, &clock);
+  EXPECT_TRUE(priced_tasklet.Drive());
+  EXPECT_EQ(priced.last_step_handled(), Tasklet::kColdBurst);
+  for (int i = 0; i < 4; ++i) {
+    EXPECT_TRUE(priced_tasklet.Drive());
+    EXPECT_EQ(priced.last_step_handled(),
+              static_cast<size_t>(2 * Tasklet::kStepBoundSlices));
+  }
+  // The cold step (4 targets) and the clamped ones (8) fit the bound.
+  EXPECT_EQ(priced_tasklet.overruns(), 0u);
+
+  // Cheap envelopes: one 1 ns tick per step over a full burst.
+  CountingClock cheap_clock(/*nanos_per_read=*/1);
+  EventLoop cheap(LoopOptions("cheap"), &cheap_clock);
+  ipc::Channel<int> backlog(/*capacity=*/2048);
+  cheap.AddChannel<int>(&backlog, [](int&&) {});
+  for (int i = 0; i < 1000; ++i) ASSERT_TRUE(backlog.TrySend(int(i)).ok());
+  Tasklet cheap_tasklet(&cheap, options, &cheap_clock);
+  EXPECT_TRUE(cheap_tasklet.Drive());
+  EXPECT_EQ(cheap.last_step_handled(), Tasklet::kColdBurst);
+  for (int i = 0; i < 7; ++i) {
+    EXPECT_TRUE(cheap_tasklet.Drive());
+    EXPECT_EQ(cheap.last_step_handled(), 128u) << "step " << i + 1;
+  }
+  EXPECT_GT(cheap_tasklet.cost_ewma_nanos(), 0.0);
+}
+
+// An idle step handles nothing, so it carries no cost signal and leaves
+// the estimate where the last worked step put it.
+TEST(TaskletTest, IdleStepLeavesCostEstimateUnchanged) {
+  CountingClock clock(/*nanos_per_read=*/1000);
   EventLoop loop(LoopOptions("idle"), &clock);
   ipc::Channel<int> source(/*capacity=*/64);
   loop.AddChannel<int>(&source, [](int&&) {});
+  Tasklet tasklet(&loop, TaskletOptions(), &clock);
+  for (int i = 0; i < 10; ++i) ASSERT_TRUE(source.TrySend(int(i)).ok());
+  EXPECT_TRUE(tasklet.Drive());
+  const double cost = tasklet.cost_ewma_nanos();
+  EXPECT_GT(cost, 0.0);
 
-  TaskletOptions options;
-  options.min_burst = 8;
-  options.max_burst = 64;
-  options.burst_step = 4;
-  Tasklet tasklet(&loop, options, &clock);
-  EXPECT_EQ(tasklet.budget(), options.min_burst);
-
-  for (int i = 0; i < 100; ++i) tasklet.Drive();
-  EXPECT_EQ(tasklet.budget(), options.min_burst);
-
-  // One worked (free) step is evidence: the budget grows additively.
-  ASSERT_TRUE(source.TrySend(1).ok());
-  tasklet.Drive();
-  EXPECT_EQ(tasklet.budget(), options.min_burst + options.burst_step);
+  for (int i = 0; i < 100; ++i) EXPECT_FALSE(tasklet.Drive());
+  EXPECT_EQ(tasklet.cost_ewma_nanos(), cost);
 }
 
 // Idle workers run once per step, not once per burst — a slice must span
@@ -183,10 +247,16 @@ TEST(TaskletTest, NoWorkEndsSliceAfterOneStep) {
   EventLoop loop(LoopOptions("drained"), &clock);
   ipc::Channel<int> source(/*capacity=*/4);
   loop.AddChannel<int>(&source, [](int&&) {});
+  // A service runs once per step and reports no work.
+  int steps = 0;
+  loop.AddService([&steps](int64_t) {
+    ++steps;
+    return EventLoop::kNoDeadline;
+  });
 
   Tasklet tasklet(&loop, TaskletOptions(), &clock);
   EXPECT_FALSE(tasklet.Drive());
-  EXPECT_EQ(loop.iterations(), 1u);
+  EXPECT_EQ(steps, 1);
   EXPECT_FALSE(tasklet.Done());
 
   source.Close();
