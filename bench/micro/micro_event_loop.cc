@@ -161,7 +161,7 @@ void BM_TimerFireJitterReal(benchmark::State& state) {
 BENCHMARK(BM_TimerFireJitterReal)->Unit(benchmark::kMicrosecond);
 
 /// Cross-thread wakeup latency: a loop thread parks on its coalescing
-/// Wakeup; the bench thread Sends one envelope and spins until the handler
+/// Wakeup; the bench thread sends one envelope and spins until the handler
 /// echoes it. Round-trip = notify + park wake + burst drain + atomic echo,
 /// i.e. the instance→SMGR handoff latency when the SMGR is idle.
 void BM_WakeupPingPong(benchmark::State& state) {
@@ -176,7 +176,7 @@ void BM_WakeupPingPong(benchmark::State& state) {
   uint64_t seq = 0;
   for (auto _ : state) {
     ++seq;
-    benchmark::DoNotOptimize(channel.Send(uint64_t(seq)).ok());
+    benchmark::DoNotOptimize(channel.TrySend(uint64_t(seq)).ok());
     while (echoed.load(std::memory_order_acquire) != seq) {
     }
   }

@@ -24,17 +24,30 @@ void BM_ChannelSendRecv(benchmark::State& state) {
 }
 BENCHMARK(BM_ChannelSendRecv);
 
-/// Two-thread producer/consumer handoff (the instance ↔ SMGR edge).
+/// Two-thread producer/consumer handoff (the instance ↔ SMGR edge), in
+/// the reactor discipline: the producer retries a refused TrySend, and the
+/// consumer drains until empty, then parks on its bound Wakeup.
 void BM_ChannelCrossThread(benchmark::State& state) {
   ipc::Channel<proto::Envelope> channel(4096);
-  std::thread consumer([&channel] {
-    while (channel.Recv().has_value()) {
+  ipc::Wakeup wakeup;
+  channel.BindWakeup(&wakeup);
+  std::thread consumer([&channel, &wakeup] {
+    ipc::RecvState recv = ipc::RecvState::kEmpty;
+    while (recv != ipc::RecvState::kClosed) {
+      while (channel.TryRecv(&recv).has_value()) {
+      }
+      if (recv == ipc::RecvState::kEmpty) wakeup.WaitFor(1000000);  // 1 ms.
     }
   });
   for (auto _ : state) {
     proto::Envelope env(proto::MessageType::kTupleBatchRouted,
                         serde::Buffer(128, 'x'));
-    benchmark::DoNotOptimize(channel.Send(std::move(env)).ok());
+    bool sent = channel.TrySend(std::move(env)).ok();
+    while (!sent) {
+      std::this_thread::yield();
+      sent = channel.TrySend(std::move(env)).ok();
+    }
+    benchmark::DoNotOptimize(sent);
   }
   channel.Close();
   consumer.join();

@@ -5,7 +5,9 @@
 # every test target and runs the full ctest suite under the sanitizer.
 # What each lane is for:
 #   thread    — the reactor handoff (EventLoop wakeup, ipc::Channel
-#               cross-thread send/recv), the back-pressure throttle, and
+#               TrySend/TryRecv across threads with a bound Wakeup), the
+#               back-pressure throttle, the pooled-loop teardown
+#               (EventLoop::Finish/Halt retiring a loop from its pool), and
 #               the failure-recovery monitor (container hard-kill racing
 #               live traffic). Run after any change to src/runtime,
 #               src/ipc or src/smgr.

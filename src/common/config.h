@@ -213,10 +213,6 @@ inline constexpr char kTraceRingCapacity[] =
 /// Width of one MetricsCache aggregation window in seconds.
 inline constexpr char kMetricsCacheWindowSec[] =
     "heron.observability.metricscache.window.sec";
-/// Max retained collection rounds per source in InMemorySink before the
-/// oldest rounds are evicted (bounded-memory satellite).
-inline constexpr char kInMemorySinkMaxRounds[] =
-    "heron.metricsmgr.inmemory.max.rounds";
 /// Capacity (events) of each flight-recorder ring: one per container plus
 /// one for the control plane. Always-on by default — control-plane events
 /// are rare, so the ring is cheap; 0 turns the whole observability layer

@@ -162,8 +162,6 @@ HeronInstance::HeronInstance(const Options& options,
           runtime::EventLoop::Options{
               /*.name=*/StrFormat("task-%d", options.task),
               /*.burst=*/256,
-              /*.idle_backoff_nanos=*/200000,
-              /*.max_park_nanos=*/100000000,
               /*.registry=*/&metrics_,
               /*.metric_prefix=*/"instance"},
           clock) {
@@ -182,27 +180,6 @@ HeronInstance::HeronInstance(const Options& options,
 HeronInstance::~HeronInstance() { Stop(); }
 
 Status HeronInstance::Start() {
-  HERON_RETURN_NOT_OK(Prepare());
-  loop_.Start();
-  return Status::OK();
-}
-
-Status HeronInstance::StartStepMode() { return Prepare(); }
-
-Status HeronInstance::StartCooperative(runtime::TaskletPool* pool) {
-  HERON_RETURN_NOT_OK(Prepare());
-  // A tasklet must never block its pool worker: the SMGR tasklet draining
-  // our outbound channel may be scheduled *behind us on the same worker*,
-  // so a blocking send would deadlock the core. Full-channel sends park in
-  // the outbox backlog instead, retried by this idle worker.
-  outbox_->SetNonBlocking(true);
-  loop_.AddIdle([this] { return outbox_->PumpBacklog(); });
-  pool_ = pool;
-  pool_handle_ = pool->Add(&loop_);
-  return Status::OK();
-}
-
-Status HeronInstance::Prepare() {
   if (running_.exchange(true)) {
     return Status::FailedPrecondition("instance already running");
   }
@@ -277,6 +254,15 @@ Status HeronInstance::Prepare() {
   loop_.AddChannel<proto::Envelope>(
       &inbound_,
       [this](proto::Envelope&& env) { HandleEnvelope(std::move(env)); });
+  // Parked-output retries, like the SMGR's: pump every iteration while a
+  // backlog exists, and ask the loop to wake within the idle backoff — a
+  // draining SMGR sends no notification back.
+  loop_.AddService([this](int64_t now) {
+    if (!outbox_->HasBacklog()) return runtime::EventLoop::kNoDeadline;
+    outbox_->PumpBacklog();
+    return outbox_->HasBacklog() ? now + runtime::EventLoop::kIdleBackoffNanos
+                                 : runtime::EventLoop::kNoDeadline;
+  });
   // Shutdown drain: ship whatever the outbox still stages.
   loop_.OnShutdown([this] { outbox_->Flush(); });
   return Status::OK();
@@ -288,26 +274,16 @@ void HeronInstance::Stop() {
     registered_ = false;
   }
   running_.store(false);
-  // Close-then-join: the reactor drains remaining envelopes and runs the
-  // shutdown flush before exiting; Shutdown() covers step mode.
+  // Close-then-finish: the reactor drains remaining envelopes and runs the
+  // shutdown flush, on whatever drives it or here.
   inbound_.Close();
-  if (pool_handle_ != nullptr) {
-    // Cooperative: fence the pool worker off the loop, then finish the
-    // drain on this thread — exactly the iterations Run() would have done
-    // before exiting. Blocking delivery is safe again here: we are not a
-    // pool worker, and the SMGR tasklet (stopped after us) still drains.
-    pool_->Retire(pool_handle_);
-    pool_handle_ = nullptr;
-    outbox_->SetNonBlocking(false);
-    // Bounded: drops the backlog if the SMGR never drains (it is stopped
-    // after us, so in practice this empties within a few retries).
-    for (int i = 0; outbox_->HasBacklog() && i < 100000; ++i) {
-      if (!outbox_->PumpBacklog()) std::this_thread::yield();
-    }
-    while (!loop_.stopped() && !loop_.sources_done()) loop_.RunOnce();
+  loop_.Finish();
+  // Bounded: drops what is still parked if the SMGR never drains (it is
+  // stopped after us, so in practice this empties within a few retries).
+  for (int i = 0; outbox_ != nullptr && outbox_->HasBacklog() && i < 100000;
+       ++i) {
+    if (!outbox_->PumpBacklog()) std::this_thread::yield();
   }
-  loop_.Join();
-  loop_.Shutdown();
   if (started_) {
     if (spout_ != nullptr) spout_->Close();
     if (bolt_ != nullptr) bolt_->Cleanup();
@@ -323,10 +299,6 @@ void HeronInstance::Kill() {
   running_.store(false);
   // Halt: no shutdown flush, no user Close/Cleanup — abrupt death.
   loop_.Halt();
-  if (pool_handle_ != nullptr) {
-    pool_->Retire(pool_handle_);
-    pool_handle_ = nullptr;
-  }
   inbound_.Close();
   loop_.Join();
   started_ = false;
@@ -399,10 +371,8 @@ bool HeronInstance::SpoutStep() {
     can_emit = false;  // Container-local spout back pressure.
   }
   if (outbox_->HasBacklog()) {
-    // Non-blocking mode with parked output: emitting more would only grow
-    // the backlog unboundedly — wait for the SMGR to drain (the pump idle
-    // worker is retrying). This is the cooperative analogue of the
-    // blocking send's implicit flow control.
+    // Parked output: emitting more would only grow the backlog — wait for
+    // the SMGR to drain (the backlog service is retrying).
     can_emit = false;
   }
   if (options_.acking && options_.max_spout_pending > 0 &&
@@ -582,8 +552,8 @@ void HeronInstance::ForwardBarrier(uint64_t ckpt_id) {
   // dest_task -1 = fan-out request: the local SMGR flushes its tuple
   // cache (pre-barrier data first) and barriers every consumer channel.
   // Shipping through the outbox keeps the barrier FIFO behind any data
-  // parked in the non-blocking backlog — a barrier overtaking data would
-  // corrupt the snapshot's pre-barrier prefix.
+  // parked in the backlog — a barrier overtaking data would corrupt the
+  // snapshot's pre-barrier prefix.
   env.dest_task = -1;
   outbox_->ShipEnvelope(std::move(env));
 }

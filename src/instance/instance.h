@@ -17,7 +17,6 @@
 #include "observability/trace.h"
 #include "proto/physical_plan.h"
 #include "runtime/event_loop.h"
-#include "runtime/tasklet.h"
 #include "smgr/stream_manager.h"
 #include "smgr/transport.h"
 #include "statemgr/state_manager.h"
@@ -37,8 +36,13 @@ namespace instance {
 /// startup hooks on the loop thread. Spouts additionally enforce the §V-B
 /// flow-control knob `max_spout_pending` ("the maximum number of tuples
 /// that can be pending on a spout task at any given time") and pause on
-/// the local SMGR's back-pressure flag. StartStepMode() arms the reactor
-/// without a thread for deterministic RunOnce() tests.
+/// the local SMGR's back-pressure flag and on parked outbox output.
+///
+/// The instance does not know what drives its loop: Start() only wires
+/// it, and the container runs it on a thread or a tasklet pool, or a
+/// deterministic test steps it with RunOnce(). Nothing it does blocks —
+/// output the SMGR cannot take yet parks in the outbox backlog, retried
+/// by a loop service — so it behaves the same whatever drives it.
 class HeronInstance {
  public:
   struct Options {
@@ -82,17 +86,12 @@ class HeronInstance {
   HeronInstance(const HeronInstance&) = delete;
   HeronInstance& operator=(const HeronInstance&) = delete;
 
-  /// Creates the user spout/bolt, registers the inbound channel, spawns
-  /// the executor thread.
+  /// Creates the user spout/bolt, registers the inbound channel and wires
+  /// the reactor; the caller then drives loop() (see class comment).
   Status Start();
-  /// Step-mode Start: full wiring, no thread — drive loop()->RunOnce().
-  Status StartStepMode();
-  /// Cooperative Start: full wiring, then hands the reactor to `pool` as a
-  /// tasklet instead of spawning a thread. The outbox switches to
-  /// non-blocking delivery (a tasklet must never block its pool worker)
-  /// and a backlog-pump idle worker retries parked envelopes.
-  Status StartCooperative(runtime::TaskletPool* pool);
-  /// Closes the channel, joins, runs user Close/Cleanup. Idempotent.
+  /// Closes the channel, finishes the loop (its drain and outbox flush),
+  /// retries any parked output a bounded number of times, then runs user
+  /// Close/Cleanup. Idempotent.
   void Stop();
   /// Hard-kill (fault injection): deregisters and halts the reactor. The
   /// outbox flush and user Close/Cleanup never run — the process "died".
@@ -117,8 +116,6 @@ class HeronInstance {
   class SpoutCollector;
   class BoltCollector;
 
-  /// Shared Start/StartStepMode body: user objects, transport, reactor.
-  Status Prepare();
   /// Spout idle worker: one NextTuple round; true when tuples were emitted.
   bool SpoutStep();
   /// Inbound envelope dispatch (root events for spouts, batches for bolts).
@@ -208,10 +205,6 @@ class HeronInstance {
   std::atomic<bool> running_{false};
   bool registered_ = false;
   bool started_ = false;
-
-  // Cooperative mode: the pool driving loop_ (null in thread/step mode).
-  runtime::TaskletPool* pool_ = nullptr;
-  runtime::TaskletPool::Handle* pool_handle_ = nullptr;
 
   // Hot-path metric handles.
   metrics::Counter* emitted_;

@@ -65,33 +65,28 @@ void Outbox::Ship(proto::Envelope env) {
                   << " has no local smgr; dropping batch";
     return;
   }
-  const bool is_batch = env.type == proto::MessageType::kTupleBatch;
-  if (nonblocking_) {
-    // FIFO no-overtake: while anything is parked, everything parks.
-    if (!backlog_.empty()) {
-      backlog_.push_back(std::move(env));
-      return;
-    }
-    // TrySend moves from `env` only on success; on a full channel the
-    // envelope is intact and parks in the backlog.
-    const Status st = channel->TrySend(std::move(env));
-    if (st.ok()) {
-      if (is_batch) ++batches_sent_;
-    } else if (st.IsResourceExhausted()) {
-      backlog_.push_back(std::move(env));
-    }
-    // Closed channel: dropped, same as a failed blocking send.
+  // FIFO no-overtake: while anything is parked, everything parks.
+  if (!backlog_.empty()) {
+    backlog_.push_back(std::move(env));
     return;
   }
-  const Status st = channel->Send(std::move(env));
-  if (st.ok() && is_batch) ++batches_sent_;
+  const bool is_batch = env.type == proto::MessageType::kTupleBatch;
+  // TrySend moves from `env` only on success; on a full channel the
+  // envelope is intact and parks in the backlog.
+  const Status st = channel->TrySend(std::move(env));
+  if (st.ok()) {
+    if (is_batch) ++batches_sent_;
+  } else if (st.IsResourceExhausted()) {
+    backlog_.push_back(std::move(env));
+  }
+  // Closed channel: dropped.
 }
 
 bool Outbox::PumpBacklog() {
   if (backlog_.empty()) return false;
   smgr::EnvelopeChannel* channel = transport_->SmgrChannel(container_);
   if (channel == nullptr) {
-    // SMGR endpoint gone (torn down): drop, as the blocking path would.
+    // SMGR endpoint gone (torn down): nothing will ever take the backlog.
     backlog_.clear();
     return false;
   }
@@ -114,7 +109,7 @@ bool Outbox::PumpBacklog() {
 void Outbox::ShipEnvelope(proto::Envelope env) { Ship(std::move(env)); }
 
 void Outbox::Flush() {
-  if (nonblocking_) PumpBacklog();
+  PumpBacklog();
   while (!pending_.empty()) {
     auto it = pending_.begin();
     const StreamId stream = it->first;

@@ -20,17 +20,14 @@ namespace instance {
 /// once, the SMGR routes the serialized form (§V-A), and only the
 /// receiving instance deserializes.
 ///
-/// Two delivery modes:
-///  - **blocking** (thread-per-instance, default): sends block when the
-///    SMGR inbound is full — safe because the SMGR loop never blocks, so
-///    it always drains;
-///  - **non-blocking** (`SetNonBlocking(true)`, cooperative mode): a
-///    tasklet must never block its pool worker (the SMGR tasklet draining
-///    our channel may be *behind us on the same worker* — a blocking send
-///    would deadlock the core). Full-channel sends instead park the
-///    envelope in a FIFO backlog retried by PumpBacklog(); while a backlog
-///    exists every later envelope parks behind it, so tuple order is
-///    preserved (no overtake).
+/// Delivery never blocks, whatever drives the instance: a pool worker
+/// must not stall (the SMGR tasklet draining our channel may be *behind us
+/// on the same worker*), and a step-mode test's only thread must not
+/// either. A send that finds the SMGR inbound full parks the envelope in a
+/// FIFO backlog retried by PumpBacklog(); while a backlog exists every
+/// later envelope parks behind it, so tuple order is preserved (no
+/// overtake). The instance retries the backlog from a loop service and
+/// pauses its spout while one exists.
 class Outbox {
  public:
   /// \param flush_tuples  per-stream batch size that triggers a flush
@@ -53,12 +50,8 @@ class Outbox {
   /// overtake data parked in the backlog.
   void ShipEnvelope(proto::Envelope env);
 
-  /// Selects the delivery mode (see class comment). Toggle only while no
-  /// send is in flight (pre-start, or after the tasklet is retired).
-  void SetNonBlocking(bool on) { nonblocking_ = on; }
-
-  /// Retries parked envelopes in FIFO order; true when any shipped.
-  /// Cooperative instances register this as an idle worker.
+  /// Retries parked envelopes in FIFO order; true when any shipped. A
+  /// closed or missing SMGR endpoint drops the backlog.
   bool PumpBacklog();
   bool HasBacklog() const { return !backlog_.empty(); }
 
@@ -76,7 +69,7 @@ class Outbox {
   };
 
   void FlushStream(const StreamId& stream, PendingBatch* batch);
-  /// Delivers or (non-blocking mode, full channel) parks `env`.
+  /// Delivers `env`, or parks it behind the backlog or on a full channel.
   void Ship(proto::Envelope env);
 
   TaskId task_;
@@ -87,7 +80,6 @@ class Outbox {
 
   std::map<StreamId, PendingBatch> pending_;
   std::map<TaskId, proto::AckBatchMsg> pending_acks_;
-  bool nonblocking_ = false;
   std::deque<proto::Envelope> backlog_;
   uint64_t tuples_emitted_ = 0;
   uint64_t batches_sent_ = 0;

@@ -1,8 +1,6 @@
 #ifndef HERON_IPC_CHANNEL_H_
 #define HERON_IPC_CHANNEL_H_
 
-#include <chrono>
-#include <condition_variable>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -33,6 +31,11 @@ enum class RecvState {
 /// (enforced by the Envelope discipline, not by this class), and capacity
 /// is bounded so a slow consumer exerts back pressure on producers exactly
 /// as a full TCP window would.
+///
+/// Every call is non-blocking, because every party is a reactor that must
+/// never stall its thread (or its pool worker): a full channel refuses
+/// TrySend and the producer parks the item for a later retry, and a
+/// consumer sleeps on its bound Wakeup, never on the channel.
 template <typename T>
 class Channel {
  public:
@@ -40,24 +43,6 @@ class Channel {
 
   Channel(const Channel&) = delete;
   Channel& operator=(const Channel&) = delete;
-
-  /// Blocks until space is available (back pressure) or the channel is
-  /// closed. kCancelled after Close.
-  Status Send(T item) {
-    Wakeup* wakeup = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      not_full_.wait(lock,
-                     [&] { return closed_ || queue_.size() < capacity_; });
-      if (closed_) return Status::Cancelled("channel closed");
-      queue_.push_back(std::move(item));
-      ++total_enqueued_;
-      wakeup = wakeup_;
-    }
-    not_empty_.notify_one();
-    if (wakeup != nullptr) wakeup->Notify();
-    return Status::OK();
-  }
 
   /// Non-blocking send; kResourceExhausted when full, kCancelled when
   /// closed. Takes an rvalue reference and moves only on success, so the
@@ -74,28 +59,8 @@ class Channel {
       ++total_enqueued_;
       wakeup = wakeup_;
     }
-    not_empty_.notify_one();
     if (wakeup != nullptr) wakeup->Notify();
     return Status::OK();
-  }
-
-  /// Blocks until an item arrives or the channel is closed *and* drained.
-  /// std::nullopt signals end of stream.
-  std::optional<T> Recv() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    not_empty_.wait(lock, [&] { return closed_ || !queue_.empty(); });
-    return PopLocked(&lock);
-  }
-
-  /// Like Recv but gives up after `timeout`; std::nullopt on timeout or
-  /// end of stream (check closed() to distinguish).
-  std::optional<T> RecvFor(std::chrono::nanoseconds timeout) {
-    std::unique_lock<std::mutex> lock(mutex_);
-    if (!not_empty_.wait_for(lock, timeout,
-                             [&] { return closed_ || !queue_.empty(); })) {
-      return std::nullopt;
-    }
-    return PopLocked(&lock);
   }
 
   /// Non-blocking receive. std::nullopt for both "empty" and
@@ -110,13 +75,15 @@ class Channel {
   /// kEmpty means retry later, kClosed means end of stream. Saves the
   /// extra closed() lock round-trip every reactor poll used to pay.
   std::optional<T> TryRecv(RecvState* state) {
-    std::unique_lock<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
     if (queue_.empty()) {
       *state = closed_ ? RecvState::kClosed : RecvState::kEmpty;
       return std::nullopt;
     }
     *state = RecvState::kItem;
-    return PopLocked(&lock);
+    std::optional<T> item(std::move(queue_.front()));
+    queue_.pop_front();
+    return item;
   }
 
   /// Closes the channel: senders fail immediately; receivers drain the
@@ -128,15 +95,13 @@ class Channel {
       closed_ = true;
       wakeup = wakeup_;
     }
-    not_empty_.notify_all();
-    not_full_.notify_all();
     if (wakeup != nullptr) wakeup->Notify();
   }
 
   /// Binds (or, with nullptr, unbinds) a reactor wakeup: it is notified on
   /// every enqueue and on Close, so an EventLoop can sleep on one Wakeup
   /// while multiplexing many channels. At most one consumer loop per
-  /// channel; the binding must outlive all concurrent Send/Close calls or
+  /// channel; the binding must outlive all concurrent TrySend/Close calls or
   /// be cleared first (EventLoop unbinds in its destructor).
   void BindWakeup(Wakeup* wakeup) {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -169,19 +134,8 @@ class Channel {
   }
 
  private:
-  std::optional<T> PopLocked(std::unique_lock<std::mutex>* lock) {
-    if (queue_.empty()) return std::nullopt;  // Closed and drained.
-    T item = std::move(queue_.front());
-    queue_.pop_front();
-    lock->unlock();
-    not_full_.notify_one();
-    return item;
-  }
-
   const size_t capacity_;
   mutable std::mutex mutex_;
-  std::condition_variable not_empty_;
-  std::condition_variable not_full_;
   std::deque<T> queue_;
   bool closed_ = false;
   uint64_t total_enqueued_ = 0;

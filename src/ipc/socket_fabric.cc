@@ -15,7 +15,7 @@ namespace ipc {
 
 namespace {
 
-Status SetNonBlocking(int fd) {
+Status SetFdNonBlocking(int fd) {
   const int flags = fcntl(fd, F_GETFL, 0);
   if (flags < 0 || fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
     return Status::IOError(
@@ -49,8 +49,8 @@ Status SocketFabric::OpenLink(uint64_t key, FrameSink sink) {
     return Status::IOError(
         StrFormat("socketpair failed: %s", std::strerror(errno)));
   }
-  Status st = SetNonBlocking(fds[0]);
-  if (st.ok()) st = SetNonBlocking(fds[1]);
+  Status st = SetFdNonBlocking(fds[0]);
+  if (st.ok()) st = SetFdNonBlocking(fds[1]);
   if (!st.ok()) {
     ::close(fds[0]);
     ::close(fds[1]);

@@ -21,10 +21,10 @@ namespace ipc {
 /// was announced before it went to sleep — the classic lost-wakeup hazard
 /// of hand-rolled loops.
 ///
-/// This is deliberately separate from Channel's internal `not_empty_`
-/// condition variable: a reactor waits on *one* Wakeup while draining
-/// *many* channels, which is what lets one thread multiplex an arbitrary
-/// set of endpoints (Fig. 1's kernel) without polling.
+/// A Channel has no wait of its own: a reactor waits on *one* Wakeup
+/// while draining *many* channels, which is what lets one thread
+/// multiplex an arbitrary set of endpoints (Fig. 1's kernel) without
+/// polling.
 class Wakeup {
  public:
   Wakeup() = default;

@@ -1,80 +1,9 @@
 #include "metrics/metrics_manager.h"
 
-#include <cstdio>
-
 #include "common/strings.h"
 
 namespace heron {
 namespace metrics {
-
-InMemorySink::InMemorySink(size_t max_rounds_per_source)
-    : max_rounds_per_source_(
-          max_rounds_per_source == 0 ? 1 : max_rounds_per_source) {}
-
-InMemorySink::InMemorySink(const Config& config)
-    : InMemorySink(static_cast<size_t>(
-          config.GetIntOr(config_keys::kInMemorySinkMaxRounds,
-                          kDefaultMaxRoundsPerSource))) {}
-
-void InMemorySink::Flush(const std::string& source,
-                         const std::vector<Sample>& samples,
-                         int64_t collected_at_nanos) {
-  std::lock_guard<std::mutex> lock(mutex_);
-  size_t& rounds = rounds_per_source_[source];
-  if (rounds >= max_rounds_per_source_) {
-    // Evict this source's oldest retained round. Eviction is rare (only
-    // long-running topologies hit the cap), so the linear scan is fine.
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->source == source) {
-        entries_.erase(it);
-        --rounds;
-        ++evicted_rounds_;
-        break;
-      }
-    }
-  }
-  entries_.push_back({source, samples, collected_at_nanos});
-  ++rounds;
-}
-
-std::vector<InMemorySink::Entry> InMemorySink::entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_;
-}
-
-double InMemorySink::Latest(const std::string& source, const std::string& name,
-                            double fallback) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
-    if (it->source != source) continue;
-    for (const auto& s : it->samples) {
-      if (s.name == name) return s.value;
-    }
-  }
-  return fallback;
-}
-
-uint64_t InMemorySink::evicted_rounds() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return evicted_rounds_;
-}
-
-void ConsoleSink::Flush(const std::string& source,
-                        const std::vector<Sample>& samples,
-                        int64_t collected_at_nanos) {
-  // One collection round = one write(2)-sized fwrite: concurrent
-  // containers' rounds can interleave *between* rounds but never inside
-  // one, so every round reads as a contiguous block.
-  std::string buffer;
-  buffer.reserve(64 * (samples.size() + 1));
-  for (const auto& s : samples) {
-    buffer += StrFormat("[metrics %lld] %s %s = %.3f\n",
-                        static_cast<long long>(collected_at_nanos / 1000000),
-                        source.c_str(), s.name.c_str(), s.value);
-  }
-  std::fwrite(buffer.data(), 1, buffer.size(), stderr);
-  std::fflush(stderr);
-}
 
 Status MetricsManager::RegisterSource(const std::string& source,
                                       MetricsRegistry* registry) {

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/clock.h"
-#include "common/config.h"
 #include "common/status.h"
 #include "metrics/metrics.h"
 
@@ -25,63 +24,6 @@ class IMetricsSink {
   virtual void Flush(const std::string& source,
                      const std::vector<Sample>& samples,
                      int64_t collected_at_nanos) = 0;
-};
-
-/// \brief Sink that retains collection rounds in memory; used by tests and
-/// by the benchmark harness to read back component breakdowns (Fig. 14).
-///
-/// Retention is bounded: each source keeps at most `max_rounds_per_source`
-/// collection rounds (knob `heron.metricsmgr.inmemory.max.rounds`); when a
-/// source exceeds its cap its oldest rounds are evicted. The default cap is
-/// generous enough that existing tests and benchmarks see every round they
-/// produce, while long-running topologies no longer grow without bound.
-class InMemorySink final : public IMetricsSink {
- public:
-  struct Entry {
-    std::string source;
-    std::vector<Sample> samples;
-    int64_t collected_at_nanos;
-  };
-
-  /// Retains at most the newest 4096 rounds per source by default.
-  static constexpr size_t kDefaultMaxRoundsPerSource = 4096;
-
-  explicit InMemorySink(
-      size_t max_rounds_per_source = kDefaultMaxRoundsPerSource);
-  /// Reads the cap from `heron.metricsmgr.inmemory.max.rounds`.
-  explicit InMemorySink(const Config& config);
-
-  void Flush(const std::string& source, const std::vector<Sample>& samples,
-             int64_t collected_at_nanos) override;
-
-  /// All retained rounds, oldest-first (eviction-surviving order).
-  std::vector<Entry> entries() const;
-  /// Latest value of `source`/`name`, or fallback.
-  double Latest(const std::string& source, const std::string& name,
-                double fallback = 0) const;
-  /// Rounds evicted so far to honor the per-source cap.
-  uint64_t evicted_rounds() const;
-  size_t max_rounds_per_source() const { return max_rounds_per_source_; }
-
- private:
-  const size_t max_rounds_per_source_;
-  mutable std::mutex mutex_;
-  std::vector<Entry> entries_;
-  /// Live round count per source (avoids an O(entries) scan on every
-  /// Flush just to check the cap).
-  std::map<std::string, size_t> rounds_per_source_;
-  uint64_t evicted_rounds_ = 0;
-};
-
-/// \brief Sink that prints one line per sample to stderr; for examples.
-///
-/// Each collection round is emitted as a single buffered write, so rounds
-/// flushed concurrently by several containers' housekeeping threads never
-/// interleave line-by-line.
-class ConsoleSink final : public IMetricsSink {
- public:
-  void Flush(const std::string& source, const std::vector<Sample>& samples,
-             int64_t collected_at_nanos) override;
 };
 
 /// \brief The per-container Metrics Manager (§II: "collects several

@@ -294,22 +294,6 @@ void PackingPlan::Clear() {
   containers_.clear();
 }
 
-std::string PackingPlan::ToString() const {
-  std::string out = StrFormat("PackingPlan{topology=%s, containers=%d\n",
-                              topology_name_.c_str(), NumContainers());
-  for (const auto& c : containers_) {
-    out += StrFormat("  container %d %s:", c.id,
-                     c.required.ToString().c_str());
-    for (const auto& inst : c.instances) {
-      out += StrFormat(" %s[%d]#%d", inst.component.c_str(),
-                       inst.component_index, inst.task_id);
-    }
-    out += "\n";
-  }
-  out += "}";
-  return out;
-}
-
 bool PackingPlan::operator==(const PackingPlan& o) const {
   if (topology_name_ != o.topology_name_ ||
       containers_.size() != o.containers_.size()) {

@@ -85,8 +85,6 @@ class PackingPlan : public serde::Message {
   Status ParseFrom(serde::WireDecoder* dec) override;
   void Clear() override;
 
-  std::string ToString() const;
-
   bool operator==(const PackingPlan& o) const;
 
  private:

@@ -20,8 +20,6 @@ Container::Container(const packing::ContainerPlan& plan,
           EventLoop::Options{
               /*.name=*/StrFormat("container-%d", plan.id),
               /*.burst=*/128,
-              /*.idle_backoff_nanos=*/200000,
-              /*.max_park_nanos=*/100000000,
               /*.registry=*/&housekeeping_metrics_,
               /*.metric_prefix=*/"container"},
           clock) {}
@@ -60,13 +58,8 @@ Status Container::StartInternal(bool step_mode) {
   recovering_ = false;
   smgr_ = std::make_unique<smgr::StreamManager>(smgr_options, physical_plan_,
                                                 transport_, clock_);
-  if (step_mode) {
-    HERON_RETURN_NOT_OK(smgr_->StartStepMode());
-  } else if (tasklet_pool_ != nullptr) {
-    HERON_RETURN_NOT_OK(smgr_->StartCooperative(tasklet_pool_));
-  } else {
-    HERON_RETURN_NOT_OK(smgr_->Start());
-  }
+  HERON_RETURN_NOT_OK(smgr_->Start());
+  Launch(smgr_->loop());
   metrics_manager_
       .RegisterSource(StrFormat("smgr-%d", plan_.id), smgr_->metrics())
       .ok();
@@ -91,20 +84,14 @@ Status Container::StartInternal(bool step_mode) {
     options.checkpoint_epoch = checkpoint_epoch_;
     auto instance = std::make_unique<instance::HeronInstance>(
         options, physical_plan_, transport_, clock_, smgr_.get());
-    Status st;
-    if (step_mode) {
-      st = instance->StartStepMode();
-    } else if (tasklet_pool_ != nullptr) {
-      st = instance->StartCooperative(tasklet_pool_);
-    } else {
-      st = instance->Start();
-    }
+    const Status st = instance->Start();
     if (!st.ok()) {
       Stop();
       return st.WithContext(
           StrFormat("starting task %d in container %d", inst.task_id,
                     plan_.id));
     }
+    Launch(instance->loop());
     metrics_manager_
         .RegisterSource(StrFormat("task-%d", inst.task_id),
                         instance->metrics())
@@ -125,18 +112,21 @@ Status Container::StartInternal(bool step_mode) {
                               [this] { metrics_manager_.Collect(); });
     housekeeping_wired_ = true;
   }
-  if (!step_mode) {
-    if (tasklet_pool_ != nullptr) {
-      housekeeping_handle_ = tasklet_pool_->Add(&housekeeping_);
-    } else {
-      housekeeping_.Start();
-    }
-  }
+  Launch(&housekeeping_);
 
   started_ = true;
   HLOG(INFO) << "container " << plan_.id << " up: smgr + "
              << instances_.size() << " instances";
   return Status::OK();
+}
+
+void Container::Launch(EventLoop* loop) {
+  if (step_mode_) return;
+  if (tasklet_pool_ != nullptr) {
+    tasklet_pool_->Add(loop);
+  } else {
+    loop->Start();
+  }
 }
 
 void Container::Step() {
@@ -154,10 +144,6 @@ void Container::Fail() {
   // Halt instead of Stop: no shutdown drain anywhere. Housekeeping first —
   // its Collect() snapshots registries the kills below will orphan.
   housekeeping_.Halt();
-  if (housekeeping_handle_ != nullptr) {
-    tasklet_pool_->Retire(housekeeping_handle_);
-    housekeeping_handle_ = nullptr;
-  }
   housekeeping_.Join();
   for (auto& instance : instances_) {
     instance->Kill();
@@ -174,14 +160,9 @@ void Container::Fail() {
 
 void Container::Stop() {
   // Housekeeping first: Collect() snapshots the instance registries, so
-  // the collection loop must be parked before any registry dies.
-  if (housekeeping_handle_ != nullptr) {
-    tasklet_pool_->Retire(housekeeping_handle_);
-    housekeeping_handle_ = nullptr;
-  }
+  // the collection loop must be finished before any registry dies.
   housekeeping_.Stop();
-  housekeeping_.Join();
-  housekeeping_.Shutdown();
+  housekeeping_.Finish();
   // Park every thread before destroying any endpoint: the SMGR's wire
   // thread can be mid-TrySend into an instance channel (delivering a
   // routed batch or a parked retry), so no instance may be destroyed

@@ -21,7 +21,9 @@ namespace runtime {
 ///
 /// Owns the three process kinds, wires them to the topology transport,
 /// and tears them down in dependency order. The Scheduler starts and
-/// stops Containers through the launcher.
+/// stops Containers through the launcher. The container alone decides what
+/// drives each module's loop (Launch): an owned thread, a tasklet pool, or
+/// nothing in step mode; the modules themselves do not know which.
 ///
 /// The Metrics Manager's periodic collection runs on the container's own
 /// housekeeping reactor (an EventLoop with a single periodic timer, cf.
@@ -142,7 +144,6 @@ class Container {
   EventLoop housekeeping_;
   bool housekeeping_wired_ = false;
   TaskletPool* tasklet_pool_ = nullptr;
-  TaskletPool::Handle* housekeeping_handle_ = nullptr;
   bool started_ = false;
   bool step_mode_ = false;
   bool recovering_ = false;
@@ -154,6 +155,9 @@ class Container {
 
   /// Shared Start/StartStepMode body.
   Status StartInternal(bool step_mode);
+  /// Hands `loop` to what drives it: the tasklet pool, an owned thread,
+  /// or — in step mode — nobody (Step() steps it).
+  void Launch(EventLoop* loop);
 };
 
 }  // namespace runtime

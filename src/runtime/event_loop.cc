@@ -107,8 +107,10 @@ size_t EventLoop::num_sources() const {
   return n;
 }
 
-int64_t EventLoop::NextDeadlineNanos() const {
-  return std::min(NextTimerDeadlineNanos(), service_deadline_);
+int64_t EventLoop::WakeDeadlineNanos(int64_t now) const {
+  const int64_t due = std::min(NextTimerDeadlineNanos(), service_deadline_);
+  if (idle_.empty()) return due;
+  return std::min(due, now + kIdleBackoffNanos);
 }
 
 size_t EventLoop::FireDueTimers(int64_t now) {
@@ -255,13 +257,8 @@ void EventLoop::Run() {
 
     // Idle: park on the coalescing wakeup until the next deadline.
     const int64_t now = last_step_end_nanos_;
-    int64_t deadline = NextDeadlineNanos();
-    if (!idle_.empty()) {
-      // Idle workers poll external state (back-pressure flags, pending
-      // windows) that produces no notification; bound the park.
-      deadline = std::min(deadline, now + options_.idle_backoff_nanos);
-    }
-    int64_t park = options_.max_park_nanos;
+    const int64_t deadline = WakeDeadlineNanos(now);
+    int64_t park = kMaxParkNanos;
     if (deadline != kNoDeadline) {
       park = std::min<int64_t>(park, deadline - now);
     }
@@ -292,10 +289,29 @@ void EventLoop::Stop() {
 void EventLoop::Halt() {
   halted_.store(true, std::memory_order_release);
   Stop();
+  RetireFromPool();
 }
 
 void EventLoop::Join() {
   if (thread_.joinable()) thread_.join();
+}
+
+void EventLoop::RetireFromPool() {
+  if (!retire_) return;
+  const std::function<void()> retire = std::move(retire_);
+  retire_ = nullptr;
+  retire();
+}
+
+void EventLoop::Finish() {
+  if (retire_) {
+    // The pool's worker is fenced off: finish here exactly the steps Run()
+    // would still have taken (none if the pool already drove it to Done).
+    RetireFromPool();
+    while (!ShouldExit()) RunOnce();
+  }
+  Join();
+  Shutdown();
 }
 
 }  // namespace runtime

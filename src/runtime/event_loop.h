@@ -38,7 +38,7 @@ namespace runtime {
 ///  - **idle workers**: cooperative work generators (a spout's NextTuple
 ///    round) run once per iteration; when none reports progress and no
 ///    envelope arrived, the loop parks on its coalescing `ipc::Wakeup`
-///    for at most `Options::idle_backoff_nanos`.
+///    for at most `kIdleBackoffNanos`.
 ///
 /// ## Step-mode testing contract
 /// `RunOnce()` executes exactly one iteration — due timers, one burst per
@@ -54,10 +54,14 @@ namespace runtime {
 /// `Run()` executes until `Stop()` is requested or every registered
 /// channel source is closed *and drained* (shutdown-drain: no envelope is
 /// stranded). On exit it runs the `OnShutdown` hooks exactly once (final
-/// cache drains, outbox flushes). `Start()`/`Join()` wrap Run in an owned
-/// thread. Registration calls (AddChannel/AddTimer/...) must come from
-/// the loop thread itself (i.e. inside callbacks) or before the loop
-/// starts; `Stop()` is safe from any thread.
+/// cache drains, outbox flushes). An owned thread (`Start()`), a
+/// `TaskletPool` worker or a test calling `RunOnce()` drives the loop, and
+/// the module that registered the loop's work does not know which:
+/// whoever launched the loop chooses, and `Finish()` ends the loop the
+/// same way under each. Registration calls
+/// (AddChannel/AddTimer/...) must come from the loop thread itself (i.e.
+/// inside callbacks) or before the loop starts; `Stop()` is safe from any
+/// thread.
 ///
 /// ## Instrumentation
 /// When `Options::registry` is set, the loop maintains uniformly-named
@@ -77,16 +81,17 @@ class EventLoop {
 
   /// "No deadline": the loop may sleep until the next notification.
   static constexpr int64_t kNoDeadline = std::numeric_limits<int64_t>::max();
+  /// Longest park while idle workers exist but none made progress: they
+  /// poll state that sends no notification.
+  static constexpr int64_t kIdleBackoffNanos = 200000;  // 200 us.
+  /// Cap on any single park in Run(), a lost-wakeup safety net.
+  static constexpr int64_t kMaxParkNanos = 100000000;  // 100 ms.
 
   struct Options {
     /// Loop name, for logs and thread naming.
     std::string name = "loop";
     /// Max envelopes drained per source per iteration (burst-drain bound).
     size_t burst = 128;
-    /// Park duration when idle workers exist but none made progress.
-    int64_t idle_backoff_nanos = 200000;  // 200 us.
-    /// Cap on any single park, a lost-wakeup safety net.
-    int64_t max_park_nanos = 100000000;  // 100 ms.
     /// Instrumentation target; nullptr disables loop metrics.
     metrics::MetricsRegistry* registry = nullptr;
     /// Metric name prefix, e.g. "smgr" → "smgr.thread.cpu.ns".
@@ -192,13 +197,22 @@ class EventLoop {
   /// close the channels instead when drain semantics matter).
   void Stop();
   /// Hard-kill: like Stop(), but the shutdown hooks never run — not now,
-  /// not on a later Shutdown() call. Models abrupt process death (a killed
-  /// container gets no final cache drain or outbox flush). Irreversible.
+  /// not on a later Finish() or Shutdown() call. Models abrupt process
+  /// death (a killed container gets no final cache drain or outbox
+  /// flush). A pooled loop is retired from its pool before Halt returns.
+  /// Irreversible; call from the thread that owns the loop.
   void Halt();
   /// Joins the Start() thread, if any.
   void Join();
+  /// Ends the loop on the calling thread, whatever drove it: a pooled loop
+  /// is retired from its pool and stepped here until Run() would have
+  /// exited, a Start() thread is joined, and then the shutdown hooks run.
+  /// A loop nothing drove only runs its hooks. Returns once Run() would
+  /// have, so close the loop's channels or Stop() it first. Call from the
+  /// thread that owns the loop, never from the one driving it.
+  void Finish();
   /// Runs the shutdown hooks now if the loop has started but not yet shut
-  /// down; step-mode teardown calls this in place of Run()'s exit path.
+  /// down (Run()'s exit path, and a pool's for a loop it drove to Done).
   void Shutdown();
 
   // -- Cooperative driving (runtime::TaskletPool) --------------------------
@@ -207,7 +221,7 @@ class EventLoop {
   // instead of Run() on an owned thread. These accessors expose exactly
   // what the external driver needs: what a step drained and when it
   // ended, the exit condition Run() would have checked, the wakeup it
-  // chains to its worker, and the deadlines that bound the worker's park.
+  // chains to its worker, and the deadline that bounds the worker's park.
   // All of them follow the loop's single-driver discipline.
 
   /// Envelopes drained across all sources by the most recent Step(): the
@@ -221,13 +235,14 @@ class EventLoop {
   /// condition (with stopped()) that ends Run(). Meaningful only from the
   /// driving thread.
   bool sources_done() const { return all_sources_done_; }
-  bool has_idle_workers() const { return !idle_.empty(); }
   /// The loop's coalescing latch, for chaining into a pool worker.
   ipc::Wakeup* wakeup() { return &wakeup_; }
-  /// Earliest timer/service deadline (kNoDeadline when none): an external
-  /// driver bounds its park with it. Call only from the driving thread.
-  int64_t NextWakeDeadlineNanos() const { return NextDeadlineNanos(); }
-  int64_t idle_backoff_nanos() const { return options_.idle_backoff_nanos; }
+  /// The one wake rule: the latest a loop parked at `now` may sleep — the
+  /// earliest timer or service deadline, capped at now + kIdleBackoffNanos
+  /// while the loop has idle workers; kNoDeadline when nothing is due.
+  /// Run() parks by it, and a pool worker by the minimum over its members.
+  /// Call only from the driving thread.
+  int64_t WakeDeadlineNanos(int64_t now) const;
 
   // -- Introspection (tests, benches) -------------------------------------
 
@@ -273,9 +288,9 @@ class EventLoop {
   size_t FireDueTimers(int64_t now);
   /// True when Run() must exit: stopped, or channels exist and all are done.
   bool ShouldExit() const;
-  /// Earliest of timer heap and service deadlines.
-  int64_t NextDeadlineNanos() const;
   void EnsureStartup();
+  /// Hands a pooled loop back to its owner: runs and clears `retire_`.
+  void RetireFromPool();
   TimerId ArmTimer(int64_t deadline, int64_t period, std::function<void()> fn);
 
   Options options_;
@@ -318,6 +333,11 @@ class EventLoop {
   std::thread thread_;
   std::atomic<bool> stop_{false};
   std::atomic<bool> halted_{false};
+  /// Set by TaskletPool::Add while a pool drives this loop: fences the
+  /// pool's worker off it, so Finish() and Halt() can take the loop back.
+  /// Owner thread only; the pool's worker never reads it.
+  std::function<void()> retire_;
+  friend class TaskletPool;
 
   // Instrumentation.
   std::atomic<uint64_t> wakeups_{0};

@@ -154,7 +154,6 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
   tasklet_pool_.reset();
   if (execution_mode == "cooperative" && !step_mode_) {
     TaskletPool::Options pool_options;
-    pool_options.profile = journal_ring_capacity_ > 0;
     pool_options.slice_ring = slice_ring_.get();
     pool_options.workers = static_cast<size_t>(workers);
     HERON_ASSIGN_OR_RETURN(

@@ -144,7 +144,7 @@ class TaskletPool::Worker {
  private:
   void Run() {
     wakeup_.SetOwnerThread();
-    const bool profile = options_->profile;
+    const bool profile = options_->slice_ring != nullptr;
     started_nanos_.store(clock_->NowNanos(), std::memory_order_relaxed);
     int64_t spin_start = -1;  // -1 = not currently in an idle spin window.
     while (!stop_.load(std::memory_order_acquire)) {
@@ -228,9 +228,8 @@ class TaskletPool::Worker {
   }
 
   void Park() {
-    // Bound the park by the members' timer/service deadlines, and by the
-    // idle backoff when any member has idle workers (their external state —
-    // back-pressure flags, pending windows — changes without a notify).
+    // Bound the park by the members' wake rule: the earliest timer or
+    // service deadline, or the idle backoff of a member with idle workers.
     const int64_t now = clock_->NowNanos();
     int64_t deadline = EventLoop::kNoDeadline;
     for (Handle* handle : snapshot_) {
@@ -238,13 +237,10 @@ class TaskletPool::Worker {
       if (handle->retired.load(std::memory_order_acquire) || handle->finished) {
         continue;
       }
-      EventLoop* loop = handle->tasklet.loop();
-      deadline = std::min(deadline, loop->NextWakeDeadlineNanos());
-      if (loop->has_idle_workers()) {
-        deadline = std::min(deadline, now + loop->idle_backoff_nanos());
-      }
+      deadline =
+          std::min(deadline, handle->tasklet.loop()->WakeDeadlineNanos(now));
     }
-    int64_t park = options_->max_park_nanos;
+    int64_t park = kMaxParkNanos;
     if (deadline != EventLoop::kNoDeadline) {
       park = std::min<int64_t>(park, deadline - now);
     }
@@ -295,6 +291,8 @@ TaskletPool::Handle* TaskletPool::Add(EventLoop* loop) {
     names_.push_back(loop->name());
     registry_.emplace(raw, handle);
   }
+  // Set before a worker can see the loop; only the loop's owner reads it.
+  loop->retire_ = [this, raw] { Retire(raw); };
   const size_t slot =
       next_worker_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
   workers_[slot]->Add(std::move(handle));

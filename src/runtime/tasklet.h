@@ -205,7 +205,10 @@ class Tasklet {
 /// Retire() is synchronous: it marks the handle retired, then acquires the
 /// per-handle drive mutex, guaranteeing any in-flight Drive() finished and
 /// no later one starts. After Retire() returns, the caller owns the loop
-/// again (e.g. to drain it on its own thread during graceful Stop).
+/// again (e.g. to drain it on its own thread during graceful Stop). Add()
+/// records the retire on the loop itself, so the loop's owner ends a
+/// pooled loop with EventLoop::Finish() or Halt() without holding the
+/// handle.
 ///
 /// ## Member snapshot
 /// A pass walks a raw-pointer snapshot of the worker's member list, so a
@@ -221,6 +224,9 @@ class Tasklet {
 /// deterministic two-universe harness for cooperative mode.
 class TaskletPool {
  public:
+  /// Cap on any single worker park (back-pressure flags clear silently).
+  static constexpr int64_t kMaxParkNanos = 1000000;  // 1 ms.
+
   struct Options {
     /// Worker count; 0 = one per hardware core.
     size_t workers = 0;
@@ -229,17 +235,13 @@ class TaskletPool {
     IdlePolicy idle_policy = IdlePolicy::kCondvarPark;
     /// Adaptive-spin window before falling back to a park.
     int64_t spin_window_nanos = 50000;  // 50 us.
-    /// Cap on any single park (back-pressure flags clear silently).
-    int64_t max_park_nanos = 1000000;  // 1 ms.
     TaskletOptions tasklet;
-    /// Profiling: when true, workers account busy wall-time per pass so
-    /// CollectStats() can report an occupancy ratio. Two clock reads per
-    /// drive pass — cheap against a pass that did work, but off together
-    /// with the rest of the observability layer when the journal is dark.
-    bool profile = true;
     /// Timeline slices: when set, every progressing Drive() records a
-    /// (worker, tasklet, start, duration) slice. Owned by the caller
-    /// (LocalCluster); nullptr leaves the scheduler out of the timeline.
+    /// (worker, tasklet, start, duration) slice, and workers account busy
+    /// wall-time per pass so CollectStats() can report an occupancy ratio
+    /// (two clock reads per pass). Owned by the caller (LocalCluster);
+    /// nullptr leaves the scheduler out of the timeline and unprofiled,
+    /// with the rest of the observability layer when the journal is dark.
     observability::SliceRing* slice_ring = nullptr;
   };
 
@@ -253,8 +255,9 @@ class TaskletPool {
 
   /// Registers `loop` as a tasklet, round-robin across workers, and chains
   /// its wakeup. The loop must be fully registered (channels, timers, idle
-  /// workers) before Add — the pool worker becomes its driving thread.
-  /// Returns a handle for Retire(); owned by the pool.
+  /// workers) before Add — the pool worker becomes its driving thread —
+  /// and the pool must outlive the loop's Finish() or Halt(), which retire
+  /// it. Returns a handle for Retire(); owned by the pool.
   Handle* Add(EventLoop* loop);
 
   /// Synchronously stops driving `handle`'s loop (see class comment).

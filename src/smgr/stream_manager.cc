@@ -27,8 +27,6 @@ StreamManager::StreamManager(const Options& options,
           runtime::EventLoop::Options{
               /*.name=*/StrFormat("smgr-%d", options.container),
               /*.burst=*/128,
-              /*.idle_backoff_nanos=*/200000,
-              /*.max_park_nanos=*/100000000,
               /*.registry=*/&metrics_,
               /*.metric_prefix=*/"smgr"},
           clock) {
@@ -136,7 +134,10 @@ void StreamManager::WireLoop() {
   });
 }
 
-Status StreamManager::Register() {
+Status StreamManager::Start() {
+  if (running_.exchange(true)) {
+    return Status::FailedPrecondition("stream manager already running");
+  }
   HERON_RETURN_NOT_OK(
       transport_->RegisterSmgr(options_.container, &inbound_));
   registered_ = true;
@@ -150,32 +151,6 @@ Status StreamManager::Register() {
   return Status::OK();
 }
 
-Status StreamManager::Start() {
-  if (running_.exchange(true)) {
-    return Status::FailedPrecondition("stream manager already running");
-  }
-  HERON_RETURN_NOT_OK(Register());
-  loop_.Start();
-  return Status::OK();
-}
-
-Status StreamManager::StartStepMode() {
-  if (running_.exchange(true)) {
-    return Status::FailedPrecondition("stream manager already running");
-  }
-  return Register();
-}
-
-Status StreamManager::StartCooperative(runtime::TaskletPool* pool) {
-  if (running_.exchange(true)) {
-    return Status::FailedPrecondition("stream manager already running");
-  }
-  HERON_RETURN_NOT_OK(Register());
-  pool_ = pool;
-  pool_handle_ = pool->Add(&loop_);
-  return Status::OK();
-}
-
 void StreamManager::Stop() {
   if (registered_) {
     transport_->UnregisterSmgr(options_.container).ok();
@@ -184,17 +159,9 @@ void StreamManager::Stop() {
   running_.store(false);
   // Closing the inbound lets the reactor drain every remaining envelope
   // and exit; Stop() is deliberately not called first, so nothing is
-  // stranded. Shutdown() is a no-op when the loop thread already ran it.
+  // stranded. Finish() ends the loop on whatever drove it.
   inbound_.Close();
-  if (pool_handle_ != nullptr) {
-    // Cooperative: fence the pool worker off the loop, then finish the
-    // drain on this thread — the same iterations Run() would have done.
-    pool_->Retire(pool_handle_);
-    pool_handle_ = nullptr;
-    while (!loop_.stopped() && !loop_.sources_done()) loop_.RunOnce();
-  }
-  loop_.Join();
-  loop_.Shutdown();
+  loop_.Finish();
   // Post-loop teardown bookkeeping: drop the throttle refs held by remote
   // initiators (their kStop can never arrive now) and zero the gauges so a
   // final metrics scrape does not report a dead SMGR as backlogged.
@@ -222,10 +189,6 @@ void StreamManager::Kill() {
   // tuple cache or retry queue dies with the "process" — exactly the loss
   // the ack-timeout replay must repair.
   loop_.Halt();
-  if (pool_handle_ != nullptr) {
-    pool_->Retire(pool_handle_);
-    pool_handle_ = nullptr;
-  }
   inbound_.Close();
   loop_.Join();
 }

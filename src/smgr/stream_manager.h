@@ -15,7 +15,6 @@
 #include "observability/trace.h"
 #include "proto/physical_plan.h"
 #include "runtime/event_loop.h"
-#include "runtime/tasklet.h"
 #include "smgr/ack_tracker.h"
 #include "smgr/transport.h"
 #include "smgr/tuple_cache.h"
@@ -44,9 +43,10 @@ namespace smgr {
 ///
 /// Threading: the SMGR owns no loop body of its own — it registers its
 /// inbound channel, cache-drain timer and ack/retry services on a shared
-/// runtime::EventLoop (the §II kernel). Start() runs that loop on a
-/// thread; StartStepMode() arms it for deterministic single-stepping via
-/// loop()->RunOnce() with a SimClock (no threads). The loop never blocks
+/// runtime::EventLoop (the §II kernel), and does not know what drives it.
+/// Start() registers and arms the loop; the container runs it on a thread
+/// or a tasklet pool, and a deterministic test steps it with
+/// loop()->RunOnce() under a SimClock (no threads). The loop never blocks
 /// on a send — undeliverable envelopes park in a retry queue, in strict
 /// per-channel FIFO (a new envelope never overtakes a parked predecessor
 /// on the same channel).
@@ -107,16 +107,10 @@ class StreamManager {
   StreamManager(const StreamManager&) = delete;
   StreamManager& operator=(const StreamManager&) = delete;
 
-  /// Registers the inbound channel with the transport and spawns the loop.
+  /// Registers the inbound channel with the transport and arms the
+  /// reactor's cache-drain timer; the caller then drives loop().
   Status Start();
-  /// Step-mode Start: registers with the transport and arms the reactor,
-  /// but spawns no thread — the caller drives loop()->RunOnce().
-  Status StartStepMode();
-  /// Cooperative Start: registers, then hands the reactor to `pool` as a
-  /// tasklet instead of spawning a thread. The SMGR loop already never
-  /// blocks (TrySend-or-park routing), so no delivery-mode change needed.
-  Status StartCooperative(runtime::TaskletPool* pool);
-  /// Drains, deregisters and joins. Idempotent.
+  /// Deregisters, drains and finishes the loop. Idempotent.
   void Stop();
   /// Hard-kill (fault injection): deregisters, halts the reactor without
   /// the shutdown drain — cached batches and parked envelopes are lost, as
@@ -170,8 +164,6 @@ class StreamManager {
  private:
   /// Registers handlers/timers/services on the reactor (ctor-time wiring).
   void WireLoop();
-  /// Shared Start/StartStepMode body: transport registration + timer arm.
-  Status Register();
 
   /// Routes every tuple of an unrouted batch from a local instance.
   /// `env_trace_id` is the envelope's trace hint: non-zero means at least
@@ -278,10 +270,6 @@ class StreamManager {
   runtime::EventLoop loop_;
   std::atomic<bool> running_{false};
   bool registered_ = false;
-
-  // Cooperative mode: the pool driving loop_ (null in thread/step mode).
-  runtime::TaskletPool* pool_ = nullptr;
-  runtime::TaskletPool::Handle* pool_handle_ = nullptr;
 
   // Hot-path metric handles.
   metrics::Counter* tuples_routed_;

@@ -69,6 +69,7 @@ TEST_F(InstanceTest, SpoutEmitsSerializedBatchesToLocalSmgr) {
   HeronInstance spout(options, physical_, transport_.get(),
                       RealClock::Get(), nullptr);
   ASSERT_TRUE(spout.Start().ok());
+  spout.loop()->Start();
   WaitFor([&] { return smgr_inbound_->size() >= 3; }, 10000);
   spout.Stop();
 
@@ -96,6 +97,7 @@ TEST_F(InstanceTest, AckedSpoutStopsAtMaxPendingAndResumesOnRootEvents) {
   HeronInstance spout(options, physical_, transport_.get(),
                       RealClock::Get(), nullptr);
   ASSERT_TRUE(spout.Start().ok());
+  spout.loop()->Start();
 
   // With nobody acking, emission halts at the cap.
   WaitFor([&] { return spout.pending_count() >= 100; }, 10000);
@@ -152,7 +154,7 @@ TEST_F(InstanceTest, OneRootEventEnvelopeAppliesEveryEvent) {
   options.config.SetBool(config_keys::kAckingEnabled, true);
   HeronInstance spout(options, PlanFor(*topology), transport_.get(),
                       RealClock::Get(), nullptr);
-  ASSERT_TRUE(spout.StartStepMode().ok());
+  ASSERT_TRUE(spout.Start().ok());
   for (int i = 0; i < 1000 && spout.pending_count() < 100; ++i) {
     spout.loop()->RunOnce();
   }
@@ -202,6 +204,7 @@ TEST_F(InstanceTest, BoltExecutesRoutedBatchesAndAcksUpstream) {
   HeronInstance bolt(options, physical_, transport_.get(),
                      RealClock::Get(), nullptr);
   ASSERT_TRUE(bolt.Start().ok());
+  bolt.loop()->Start();
 
   // Hand it a routed batch of three tracked words.
   proto::TupleBatchMsg batch;
@@ -294,7 +297,7 @@ TEST_F(InstanceTest, ReusedInputTupleCarriesExactlyEachReceivedTuple) {
   options.task = 1;  // The recording bolt.
   HeronInstance bolt(options, PlanFor(*topology), transport_.get(),
                      RealClock::Get(), nullptr);
-  ASSERT_TRUE(bolt.StartStepMode().ok());
+  ASSERT_TRUE(bolt.Start().ok());
 
   // Arity, kinds and root count change from tuple to tuple, so every slot
   // the reused tuple holds is overwritten, retyped or dropped.
@@ -377,7 +380,7 @@ TEST_F(InstanceTest, RelayAckFoldsAnchoredChildIntoRoot) {
   options.config.SetBool(config_keys::kAckingEnabled, true);
   HeronInstance relay(options, plan, transport_.get(), RealClock::Get(),
                       nullptr);
-  ASSERT_TRUE(relay.StartStepMode().ok());
+  ASSERT_TRUE(relay.Start().ok());
 
   const api::TupleKey root = proto::MakeRootKey(spout, 0x5EED);
   const api::TupleKey key = 0x0123456789ABCDEFull;
@@ -467,7 +470,7 @@ class InstanceAlignmentTest : public InstanceTest {
     options.checkpoint_state = &state_;
     bolt_ = std::make_unique<HeronInstance>(options, plan_, transport_.get(),
                                             RealClock::Get(), nullptr);
-    ASSERT_TRUE(bolt_->StartStepMode().ok());
+    ASSERT_TRUE(bolt_->Start().ok());
   }
 
   void TearDown() override { bolt_->Stop(); }
@@ -718,7 +721,7 @@ TEST_F(InstanceTest, SpoutRoundSharesOneEmitStamp) {
   options.config.SetBool(config_keys::kAckingEnabled, true);
   HeronInstance spout(options, PlanFor(*topology), transport_.get(), &clock,
                       nullptr);
-  ASSERT_TRUE(spout.StartStepMode().ok());
+  ASSERT_TRUE(spout.Start().ok());
 
   struct Emitted {
     int64_t value = 0;
@@ -774,6 +777,39 @@ TEST_F(InstanceTest, SpoutRoundSharesOneEmitStamp) {
   spout.Stop();
 }
 
+// Step mode has one thread, so a spout whose SMGR channel is full must
+// park its output and stop emitting — a blocking send would wait forever
+// for a drain only this thread could do.
+TEST_F(InstanceTest, StepModeSpoutParksOnFullSmgrChannel) {
+  ASSERT_TRUE(transport_->UnregisterSmgr(0).ok());
+  smgr::EnvelopeChannel tiny(/*capacity=*/1);
+  ASSERT_TRUE(transport_->RegisterSmgr(0, &tiny).ok());
+  HeronInstance::Options options;
+  options.task = 0;  // The spout: one word, one batch per step.
+  SimClock clock(0);
+  HeronInstance spout(options, physical_, transport_.get(), &clock, nullptr);
+  ASSERT_TRUE(spout.Start().ok());
+  const metrics::Counter* emitted =
+      spout.metrics()->GetCounter("instance.emitted");
+
+  spout.loop()->RunOnce();  // Batch 1 fills the channel.
+  spout.loop()->RunOnce();  // Batch 2 parks in the outbox backlog.
+  EXPECT_EQ(emitted->value(), 2u);
+  for (int i = 0; i < 5; ++i) spout.loop()->RunOnce();
+  EXPECT_EQ(emitted->value(), 2u);  // Paused while the backlog exists.
+  EXPECT_EQ(tiny.size(), 1u);
+
+  ASSERT_TRUE(tiny.TryRecv().has_value());  // The "SMGR" drains batch 1.
+  spout.loop()->RunOnce();  // Batch 2 ships, then emission resumes.
+  EXPECT_EQ(emitted->value(), 3u);
+  EXPECT_EQ(tiny.size(), 1u);
+
+  ASSERT_TRUE(tiny.TryRecv().has_value());  // Batch 2.
+  spout.Stop();  // The shutdown flush ships parked batch 3.
+  EXPECT_EQ(tiny.size(), 1u);
+  ASSERT_TRUE(transport_->UnregisterSmgr(0).ok());
+}
+
 TEST_F(InstanceTest, StartRejectsUnknownTask) {
   HeronInstance::Options options;
   options.task = 42;
@@ -788,6 +824,7 @@ TEST_F(InstanceTest, StopIsIdempotentAndUnregisters) {
   HeronInstance spout(options, physical_, transport_.get(),
                       RealClock::Get(), nullptr);
   ASSERT_TRUE(spout.Start().ok());
+  spout.loop()->Start();
   EXPECT_NE(transport_->InstanceChannel(0), nullptr);
   spout.Stop();
   spout.Stop();

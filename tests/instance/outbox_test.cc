@@ -100,6 +100,58 @@ TEST_F(OutboxTest, FlushIsIdempotentWhenEmpty) {
   EXPECT_EQ(outbox.batches_sent(), 0u);
 }
 
+// The one delivery path: a send that finds the SMGR channel full parks,
+// everything after it parks behind it (a barrier never overtakes data),
+// and PumpBacklog delivers the backlog in order as room appears.
+TEST_F(OutboxTest, FullSmgrChannelParksInOrderAndPumpDrains) {
+  smgr::EnvelopeChannel small(/*capacity=*/2);
+  ASSERT_TRUE(transport_.RegisterSmgr(1, &small).ok());
+  Outbox outbox(4, "word", /*container=*/1, &transport_, /*flush_tuples=*/1);
+  for (int i = 1; i <= 4; ++i) {
+    outbox.EmitTuple(kDefaultStreamId, WordTuple("w" + std::to_string(i)));
+  }
+  outbox.ShipEnvelope(
+      proto::Envelope(proto::MessageType::kCheckpointBarrier, serde::Buffer()));
+  EXPECT_EQ(small.size(), 2u);
+  EXPECT_EQ(outbox.batches_sent(), 2u);
+  ASSERT_TRUE(outbox.HasBacklog());
+
+  // What each envelope is: a batch's one word, or "barrier".
+  const auto label = [](const proto::Envelope& env) -> std::string {
+    if (env.type == proto::MessageType::kCheckpointBarrier) return "barrier";
+    proto::TupleBatchMsg batch;
+    proto::TupleDataMsg tuple;
+    if (!batch.ParseFromBytes(env.payload).ok() || batch.tuples.size() != 1 ||
+        !tuple.ParseFromBytes(batch.tuples[0]).ok()) {
+      return "malformed";
+    }
+    return std::get<std::string>(tuple.values.at(0));
+  };
+  std::vector<std::string> delivered;
+  while (auto env = small.TryRecv()) delivered.push_back(label(*env));
+  EXPECT_EQ(delivered, (std::vector<std::string>{"w1", "w2"}));
+
+  delivered.clear();
+  for (int pumps = 0; outbox.HasBacklog() && pumps < 10; ++pumps) {
+    EXPECT_TRUE(outbox.PumpBacklog());
+    while (auto env = small.TryRecv()) delivered.push_back(label(*env));
+  }
+  EXPECT_EQ(delivered, (std::vector<std::string>{"w3", "w4", "barrier"}));
+  EXPECT_FALSE(outbox.HasBacklog());
+  EXPECT_EQ(outbox.batches_sent(), 4u);
+
+  // A closed channel will never take the backlog: the pump drops it.
+  for (int i = 0; i < 3; ++i) {
+    outbox.EmitTuple(kDefaultStreamId, WordTuple("x"));
+  }
+  ASSERT_TRUE(outbox.HasBacklog());
+  small.Close();
+  EXPECT_FALSE(outbox.PumpBacklog());
+  EXPECT_FALSE(outbox.HasBacklog());
+  EXPECT_EQ(outbox.batches_sent(), 6u);
+  ASSERT_TRUE(transport_.UnregisterSmgr(1).ok());
+}
+
 }  // namespace
 }  // namespace instance
 }  // namespace heron

@@ -143,7 +143,7 @@ class ReceiveAllocInstanceTest : public ::testing::Test {
     bolt_ = std::make_unique<instance::HeronInstance>(
         options, *PhysicalPlan::Build(*topology, *plan), &transport_,
         RealClock::Get(), nullptr);
-    ASSERT_TRUE(bolt_->StartStepMode().ok());
+    ASSERT_TRUE(bolt_->Start().ok());
   }
 
   void TearDown() override {

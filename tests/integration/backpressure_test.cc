@@ -89,9 +89,9 @@ TEST_F(BackpressureStepTest, SlowContainerThrottlesRemoteSpouts) {
     opts2.container = 2;
     opts2.inbound_capacity = 2;
     smgr::StreamManager smgr2(opts2, physical_, &transport, &clock);
-    EXPECT_TRUE(smgr0.StartStepMode().ok());
-    EXPECT_TRUE(smgr1.StartStepMode().ok());
-    EXPECT_TRUE(smgr2.StartStepMode().ok());
+    EXPECT_TRUE(smgr0.Start().ok());
+    EXPECT_TRUE(smgr1.Start().ok());
+    EXPECT_TRUE(smgr2.Start().ok());
 
     instance::HeronInstance::Options s0;
     s0.task = 0;
@@ -101,8 +101,8 @@ TEST_F(BackpressureStepTest, SlowContainerThrottlesRemoteSpouts) {
     s1.task = 1;
     s1.config = topology_config_;
     instance::HeronInstance spout1(s1, physical_, &transport, &clock, &smgr1);
-    EXPECT_TRUE(spout0.StartStepMode().ok());
-    EXPECT_TRUE(spout1.StartStepMode().ok());
+    EXPECT_TRUE(spout0.Start().ok());
+    EXPECT_TRUE(spout1.Start().ok());
 
     // The bolt side: a raw channel standing in for task 2's instance, so
     // the test can count and order every delivered word.

@@ -415,15 +415,15 @@ TEST(CheckpointBarrierEdgeCases, BarrierParksBehindDataUnderBackpressure) {
   opts1.container = 1;
   opts1.inbound_capacity = 2;
   smgr::StreamManager smgr1(opts1, physical, &transport, &clock);
-  ASSERT_TRUE(smgr0.StartStepMode().ok());
-  ASSERT_TRUE(smgr1.StartStepMode().ok());
+  ASSERT_TRUE(smgr0.Start().ok());
+  ASSERT_TRUE(smgr1.Start().ok());
 
   instance::HeronInstance::Options s0;
   s0.task = 0;
   s0.config = topology_config;
   s0.checkpoint_state = &state;
   instance::HeronInstance spout0(s0, physical, &transport, &clock, &smgr0);
-  ASSERT_TRUE(spout0.StartStepMode().ok());
+  ASSERT_TRUE(spout0.Start().ok());
 
   // The bolt side: a raw channel standing in for task 1's instance, so
   // the test observes the exact arrival order on the barriered channel.

@@ -62,7 +62,7 @@ TEST_F(StepModeTest, FullCycleDeterministic) {
     smgr_options.acking = true;
     smgr_options.cache_drain_frequency_ms = 10;
     smgr::StreamManager smgr(smgr_options, physical_, &transport, &clock);
-    EXPECT_TRUE(smgr.StartStepMode().ok());
+    EXPECT_TRUE(smgr.Start().ok());
 
     instance::HeronInstance::Options spout_options;
     spout_options.task = 0;
@@ -71,7 +71,7 @@ TEST_F(StepModeTest, FullCycleDeterministic) {
     spout_options.max_spout_pending = 8;
     instance::HeronInstance spout(spout_options, physical_, &transport,
                                   &clock, &smgr);
-    EXPECT_TRUE(spout.StartStepMode().ok());
+    EXPECT_TRUE(spout.Start().ok());
 
     instance::HeronInstance::Options bolt_options;
     bolt_options.task = 1;
@@ -79,7 +79,7 @@ TEST_F(StepModeTest, FullCycleDeterministic) {
     bolt_options.acking = true;
     instance::HeronInstance bolt(bolt_options, physical_, &transport, &clock,
                                  &smgr);
-    EXPECT_TRUE(bolt.StartStepMode().ok());
+    EXPECT_TRUE(bolt.Start().ok());
 
     std::vector<uint64_t> trace;
     for (int round = 0; round < rounds; ++round) {
@@ -135,7 +135,7 @@ TEST_F(StepModeTest, MaxSpoutPendingThrottlesInStepMode) {
   smgr_options.container = 0;
   smgr_options.acking = true;
   smgr::StreamManager smgr(smgr_options, physical_, &transport, &clock);
-  ASSERT_TRUE(smgr.StartStepMode().ok());
+  ASSERT_TRUE(smgr.Start().ok());
 
   instance::HeronInstance::Options spout_options;
   spout_options.task = 0;
@@ -144,7 +144,7 @@ TEST_F(StepModeTest, MaxSpoutPendingThrottlesInStepMode) {
   spout_options.max_spout_pending = 3;  // §V-B flow control.
   instance::HeronInstance spout(spout_options, physical_, &transport, &clock,
                                 &smgr);
-  ASSERT_TRUE(spout.StartStepMode().ok());
+  ASSERT_TRUE(spout.Start().ok());
 
   // With no acks flowing back, emission stalls at the pending cap.
   for (int i = 0; i < 20; ++i) spout.loop()->RunOnce();
@@ -174,7 +174,8 @@ TEST_F(StepModeTest, CooperativeInlinePoolDeterministic) {
     smgr_options.acking = true;
     smgr_options.cache_drain_frequency_ms = 10;
     smgr::StreamManager smgr(smgr_options, physical_, &transport, &clock);
-    EXPECT_TRUE(smgr.StartCooperative(&pool).ok());
+    EXPECT_TRUE(smgr.Start().ok());
+    pool.Add(smgr.loop());
 
     instance::HeronInstance::Options spout_options;
     spout_options.task = 0;
@@ -183,7 +184,8 @@ TEST_F(StepModeTest, CooperativeInlinePoolDeterministic) {
     spout_options.max_spout_pending = 8;
     instance::HeronInstance spout(spout_options, physical_, &transport,
                                   &clock, &smgr);
-    EXPECT_TRUE(spout.StartCooperative(&pool).ok());
+    EXPECT_TRUE(spout.Start().ok());
+    pool.Add(spout.loop());
 
     instance::HeronInstance::Options bolt_options;
     bolt_options.task = 1;
@@ -191,7 +193,8 @@ TEST_F(StepModeTest, CooperativeInlinePoolDeterministic) {
     bolt_options.acking = true;
     instance::HeronInstance bolt(bolt_options, physical_, &transport, &clock,
                                  &smgr);
-    EXPECT_TRUE(bolt.StartCooperative(&pool).ok());
+    EXPECT_TRUE(bolt.Start().ok());
+    pool.Add(bolt.loop());
 
     std::vector<uint64_t> trace;
     for (int round = 0; round < rounds; ++round) {

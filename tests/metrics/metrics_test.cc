@@ -135,72 +135,34 @@ TEST(RegistryTest, SnapshotEmitsMinAndMidQuantiles) {
   EXPECT_LE(find("lat.p9999"), find("lat.max"));
 }
 
-TEST(InMemorySinkTest, EvictsOldestRoundsPerSourceAtCap) {
-  InMemorySink sink(/*max_rounds_per_source=*/2);
-  const auto round = [&sink](const std::string& source, double value,
-                             int64_t at) {
-    sink.Flush(source, {{"m", value}}, at);
+/// Keeps every collection round it receives, for reading them back.
+class RecordingSink final : public IMetricsSink {
+ public:
+  struct Round {
+    std::string source;
+    std::vector<Sample> samples;
+    int64_t collected_at_nanos;
   };
-  round("a", 1, 100);
-  round("b", 10, 150);
-  round("a", 2, 200);
-  round("a", 3, 300);  // Evicts a@100.
-  round("a", 4, 400);  // Evicts a@200.
 
-  EXPECT_EQ(sink.evicted_rounds(), 2u);
-  const auto entries = sink.entries();
-  ASSERT_EQ(entries.size(), 3u);  // 2 newest "a" rounds + the "b" round.
-  // "b" is untouched by "a"'s evictions, and the survivors are the newest
-  // "a" rounds in order.
-  EXPECT_EQ(entries[0].source, "b");
-  EXPECT_EQ(entries[1].collected_at_nanos, 300);
-  EXPECT_EQ(entries[2].collected_at_nanos, 400);
-  EXPECT_DOUBLE_EQ(sink.Latest("a", "m"), 4);
-  EXPECT_DOUBLE_EQ(sink.Latest("b", "m"), 10);
-}
-
-TEST(InMemorySinkTest, CapComesFromTheConfigKnob) {
-  Config config;
-  config.SetInt(config_keys::kInMemorySinkMaxRounds, 3);
-  InMemorySink sink(config);
-  EXPECT_EQ(sink.max_rounds_per_source(), 3u);
-
-  InMemorySink defaulted((Config()));
-  EXPECT_EQ(defaulted.max_rounds_per_source(),
-            InMemorySink::kDefaultMaxRoundsPerSource);
-}
-
-TEST(InMemorySinkTest, ConcurrentFlushesAllRetainedUnderCap) {
-  InMemorySink sink(/*max_rounds_per_source=*/1000);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&sink, t] {
-      const std::string source = "src-" + std::to_string(t);
-      for (int i = 0; i < 200; ++i) {
-        sink.Flush(source, {{"m", static_cast<double>(i)}}, i);
-      }
-    });
+  void Flush(const std::string& source, const std::vector<Sample>& samples,
+             int64_t collected_at_nanos) override {
+    rounds.push_back({source, samples, collected_at_nanos});
   }
-  for (auto& t : threads) t.join();
-  EXPECT_EQ(sink.entries().size(), 800u);
-  EXPECT_EQ(sink.evicted_rounds(), 0u);
-}
 
-TEST(ConsoleSinkTest, ConcurrentRoundsDoNotCrash) {
-  // The per-round buffered write is asserted structurally (one fwrite per
-  // Flush); here the sanitizer lanes get concurrent rounds to chew on.
-  ConsoleSink sink;
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&sink, t] {
-      for (int i = 0; i < 8; ++i) {
-        sink.Flush("src-" + std::to_string(t),
-                   {{"m", static_cast<double>(i)}, {"n", 1}}, i * 1000000);
+  /// Latest value of `source`/`name`, or `fallback`.
+  double Latest(const std::string& source, const std::string& name,
+                double fallback = 0) const {
+    for (auto it = rounds.rbegin(); it != rounds.rend(); ++it) {
+      if (it->source != source) continue;
+      for (const Sample& s : it->samples) {
+        if (s.name == name) return s.value;
       }
-    });
+    }
+    return fallback;
   }
-  for (auto& t : threads) t.join();
-}
+
+  std::vector<Round> rounds;
+};
 
 TEST(MetricsManagerTest, CollectsEverySourceIntoEverySink) {
   VirtualClock clock(123);
@@ -215,15 +177,15 @@ TEST(MetricsManagerTest, CollectsEverySourceIntoEverySink) {
   EXPECT_TRUE(
       manager.RegisterSource("smgr-0", &smgr_registry).IsAlreadyExists());
 
-  auto sink = std::make_shared<InMemorySink>();
+  auto sink = std::make_shared<RecordingSink>();
   manager.AddSink(sink);
   manager.Collect();
 
   EXPECT_DOUBLE_EQ(sink->Latest("smgr-0", "tuples"), 10);
   EXPECT_DOUBLE_EQ(sink->Latest("task-1", "emitted"), 20);
   EXPECT_DOUBLE_EQ(sink->Latest("task-1", "missing", -1), -1);
-  EXPECT_EQ(sink->entries().size(), 2u);
-  EXPECT_EQ(sink->entries()[0].collected_at_nanos, 123);
+  EXPECT_EQ(sink->rounds.size(), 2u);
+  EXPECT_EQ(sink->rounds[0].collected_at_nanos, 123);
 
   // Latest wins after another round.
   task_registry.GetCounter("emitted")->Increment(5);

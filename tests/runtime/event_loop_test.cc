@@ -9,6 +9,7 @@
 
 #include "common/clock.h"
 #include "ipc/channel.h"
+#include "runtime/tasklet.h"
 #include "tests/common/counting_clock.h"
 
 namespace heron {
@@ -188,6 +189,23 @@ TEST(EventLoopTest, IdleWorkerProgressDrivesReturnValue) {
   EXPECT_EQ(budget, 0);
 }
 
+// The one wake rule Run() and a pool worker both park by: the earliest
+// timer or service deadline, capped at the idle backoff once the loop has
+// an idle worker (whose polled state sends no notification).
+TEST(EventLoopTest, WakeDeadlineIsEarliestDueCappedByIdleBackoff) {
+  SimClock clock(0);
+  EventLoop loop(StepOptions("wake"), &clock);
+  EXPECT_EQ(loop.WakeDeadlineNanos(1000), EventLoop::kNoDeadline);
+  loop.AddTimer(5000000, [] {});
+  EXPECT_EQ(loop.WakeDeadlineNanos(1000), 5000000);
+  loop.AddService([](int64_t now) { return now + 3000000; });
+  loop.RunOnce();  // Services report their deadline when they run.
+  EXPECT_EQ(loop.WakeDeadlineNanos(1000), 3000000);
+  loop.AddIdle([] { return false; });
+  EXPECT_EQ(loop.WakeDeadlineNanos(1000), 1000 + 200000);
+  EXPECT_EQ(EventLoop::kIdleBackoffNanos, 200000);
+}
+
 TEST(EventLoopTest, ServiceRunsEveryIterationWithNow) {
   SimClock clock(1000);
   EventLoop loop(StepOptions("service"), &clock);
@@ -263,14 +281,19 @@ TEST(EventLoopTest, ThreadedRunExitsOnClosedAndDrained) {
   EventLoop loop(StepOptions("threaded"), &clock);
   ipc::Channel<int> channel(1024);
   std::atomic<int> handled{0};
+  int shutdowns = 0;  // Written on the loop thread, read after the join.
   loop.AddChannel<int>(&channel, [&](int&&) {
     handled.fetch_add(1, std::memory_order_relaxed);
   });
+  loop.OnShutdown([&] { ++shutdowns; });
   loop.Start();
-  for (int i = 0; i < 500; ++i) ASSERT_TRUE(channel.Send(int(i)).ok());
+  for (int i = 0; i < 500; ++i) ASSERT_TRUE(channel.TrySend(int(i)).ok());
   channel.Close();
-  loop.Join();  // Returns only after close + full drain.
+  loop.Finish();  // Joins: returns only after close + full drain.
   EXPECT_EQ(handled.load(), 500);
+  EXPECT_EQ(shutdowns, 1);
+  loop.Finish();
+  EXPECT_EQ(shutdowns, 1);
 }
 
 TEST(EventLoopTest, StopInterruptsThreadedRun) {
@@ -292,12 +315,90 @@ TEST(EventLoopTest, WakeupCoalescesNotifications) {
     handled.fetch_add(1, std::memory_order_relaxed);
   });
   loop.Start();
-  for (int i = 0; i < 2000; ++i) ASSERT_TRUE(channel.Send(int(i)).ok());
+  for (int i = 0; i < 2000; ++i) ASSERT_TRUE(channel.TrySend(int(i)).ok());
   channel.Close();
   loop.Join();
   EXPECT_EQ(handled.load(), 2000);
   // Burst draining coalesces: far fewer wakeups than notifications.
   EXPECT_LT(loop.wakeups(), 2000u);
+}
+
+// -- Finish and Halt, whatever drives the loop -----------------------------
+
+TaskletPool::Options InlinePoolOptions() {
+  TaskletPool::Options options;
+  options.workers = 1;
+  options.threaded = false;
+  return options;
+}
+
+// A pooled loop's owner ends it without knowing the pool: Finish() fences
+// the worker off and steps the loop here until Run() would have exited.
+TEST(EventLoopTest, FinishRetiresAPooledLoopAndDrainsItOnTheCaller) {
+  SimClock clock(0);
+  TaskletPool pool(InlinePoolOptions(), &clock);
+  EventLoop loop(StepOptions("pooled"), &clock);
+  ipc::Channel<int> channel(512);
+  int handled = 0;
+  int idle_calls = 0;
+  int shutdowns = 0;
+  loop.AddChannel<int>(&channel, [&](int&&) { ++handled; });
+  loop.AddIdle([&] { return ++idle_calls, false; });
+  loop.OnShutdown([&] { ++shutdowns; });
+  pool.Add(&loop);
+
+  constexpr int kQueued = 300;  // More than one 128-envelope burst.
+  for (int i = 0; i < kQueued; ++i) ASSERT_TRUE(channel.TrySend(int(i)).ok());
+  channel.Close();
+  loop.Finish();
+  EXPECT_EQ(handled, kQueued);
+  EXPECT_EQ(shutdowns, 1);
+
+  const int idle_before = idle_calls;
+  pool.DriveAll();
+  EXPECT_EQ(idle_calls, idle_before);  // The pool no longer steps it.
+  EXPECT_EQ(pool.num_members(), 0u);
+  EXPECT_EQ(shutdowns, 1);
+}
+
+// A loop nothing drove (a test stepped it) only runs its hooks: no
+// envelope queued after the last step is handled.
+TEST(EventLoopTest, FinishOnAnUndrivenLoopOnlyRunsItsHooks) {
+  SimClock clock(0);
+  EventLoop loop(StepOptions("undriven"), &clock);
+  ipc::Channel<int> channel(16);
+  int handled = 0;
+  int shutdowns = 0;
+  loop.AddChannel<int>(&channel, [&](int&&) { ++handled; });
+  loop.OnShutdown([&] { ++shutdowns; });
+  loop.RunOnce();
+  for (int i = 0; i < 5; ++i) ASSERT_TRUE(channel.TrySend(int(i)).ok());
+  channel.Close();
+  loop.Finish();
+  EXPECT_EQ(handled, 0);
+  EXPECT_EQ(channel.size(), 5u);
+  EXPECT_EQ(shutdowns, 1);
+}
+
+TEST(EventLoopTest, HaltRetiresAPooledLoopAndItsHooksNeverRun) {
+  SimClock clock(0);
+  TaskletPool pool(InlinePoolOptions(), &clock);
+  EventLoop loop(StepOptions("halted"), &clock);
+  int idle_calls = 0;
+  int shutdowns = 0;
+  loop.AddIdle([&] { return ++idle_calls, true; });
+  loop.OnShutdown([&] { ++shutdowns; });
+  pool.Add(&loop);
+  pool.DriveAll();
+  ASSERT_GT(idle_calls, 0);
+
+  loop.Halt();
+  const int idle_before = idle_calls;
+  pool.DriveAll();
+  EXPECT_EQ(idle_calls, idle_before);  // Retired before Halt returned.
+  EXPECT_EQ(pool.num_members(), 0u);
+  loop.Finish();
+  EXPECT_EQ(shutdowns, 0);
 }
 
 }  // namespace

@@ -586,7 +586,7 @@ TEST_F(StreamManagerTest, BackpressureBroadcastAndReceive) {
   ASSERT_TRUE(transport.RegisterSmgr(1, &peer).ok());
   // The SMGR's own inbound is registered too (as in a real cluster); the
   // broadcast must skip self.
-  ASSERT_TRUE(smgr.StartStepMode().ok());
+  ASSERT_TRUE(smgr.Start().ok());
 
   const auto routed = [&] {
     proto::TupleBatchMsg batch;
