@@ -287,27 +287,6 @@ Result<TaskId> PeekDestTask(serde::BytesView batch_bytes) {
   return Status::NotFound("serialized batch has no dest_task field");
 }
 
-bool OverwriteDestTaskInPlace(serde::Buffer* batch_bytes, TaskId new_dest) {
-  serde::WireDecoder dec(*batch_bytes);
-  while (!dec.AtEnd()) {
-    auto tag = dec.ReadTag();
-    if (!tag.ok() || *tag == 0) return false;
-    if (serde::TagFieldNumber(*tag) == kTbDestTask) {
-      const size_t value_pos = dec.position();
-      auto old_val = dec.ReadVarint();
-      if (!old_val.ok()) return false;
-      const size_t old_width = dec.position() - value_pos;
-      // Same width only: the tuples after the field never move.
-      const uint64_t encoded = serde::ZigZagEncode(new_dest);
-      if (serde::VarintSize(encoded) != old_width) return false;
-      serde::PutVarint(batch_bytes->data() + value_pos, encoded);
-      return true;
-    }
-    if (!dec.SkipField(serde::TagWireType(*tag)).ok()) return false;
-  }
-  return false;
-}
-
 namespace {
 
 size_t AckUpdateSize(const AckUpdate& u) {

@@ -127,13 +127,6 @@ class TupleBatchMsg final : public serde::Message {
 /// as micro_serde's baseline.
 Result<TaskId> PeekDestTask(serde::BytesView batch_bytes);
 
-/// \brief In-place update (§V-A: "performs in-place updates of Protocol
-/// Buffer objects"): rewrites dest_task inside serialized batch bytes
-/// without reserializing the tuples. Requires the new id to occupy the
-/// same zigzag-varint width as the old; returns false otherwise (caller
-/// falls back to reserialization).
-bool OverwriteDestTaskInPlace(serde::Buffer* batch_bytes, TaskId new_dest);
-
 /// \brief One XOR update toward a tracked root (ack management).
 ///
 /// Field layout: 1 root varint, 2 xor_value varint, 3 fail bool.

@@ -16,9 +16,6 @@ EventLoop::EventLoop(const Options& options, const Clock* clock)
     idle_throttled_counter_ =
         options_.registry->GetCounter(p + ".loop.idle.throttled");
     busy_ns_counter_ = options_.registry->GetCounter(p + ".loop.busy.ns");
-    idle_ns_counter_ = options_.registry->GetCounter(p + ".loop.idle.ns");
-    handled_watermark_gauge_ =
-        options_.registry->GetGauge(p + ".loop.handled.watermark");
   }
 }
 
@@ -198,13 +195,6 @@ bool EventLoop::Step(int64_t start, size_t burst) {
     }
   }
 
-  // Queue-depth watermark: the deepest single-iteration drain so far.
-  if (handled_watermark_gauge_ != nullptr &&
-      last_step_handled_ > handled_watermark_) {
-    handled_watermark_ = last_step_handled_;
-    handled_watermark_gauge_->Set(static_cast<int64_t>(last_step_handled_));
-  }
-
   const int64_t end = clock_->NowNanos();
   last_step_end_nanos_ = end;
   if (busy_ns_counter_ != nullptr) {
@@ -267,10 +257,6 @@ void EventLoop::Run() {
       if (notified) {
         wakeups_.fetch_add(1, std::memory_order_relaxed);
         if (wakeup_counter_ != nullptr) wakeup_counter_->Increment();
-      }
-      if (idle_ns_counter_ != nullptr) {
-        const int64_t idled = std::max<int64_t>(clock_->NowNanos() - now, 0);
-        idle_ns_counter_->Increment(static_cast<uint64_t>(idled));
       }
     }
   }

@@ -68,12 +68,9 @@ namespace runtime {
 /// per-loop metrics (previously re-implemented inconsistently by every
 /// module loop): the `<prefix>.thread.cpu.ns` gauge (the driving thread's
 /// CPU time, sampled one step in 1024 and at shutdown; Fig. 14 reads it),
-/// the `<prefix>.loop.busy.ns` and `<prefix>.loop.idle.ns` counters (wall
-/// time inside steps and parked in Run()), the `<prefix>.loop.wakeups`
-/// and `<prefix>.loop.idle.throttled` counters, and the
-/// `<prefix>.loop.handled.watermark` gauge (deepest single-iteration
-/// drain ever observed — the queue-depth high-water mark an operator
-/// reads to size bursts).
+/// the `<prefix>.loop.busy.ns` counter (wall time inside steps; perfbench
+/// reads it), and the `<prefix>.loop.wakeups` and
+/// `<prefix>.loop.idle.throttled` counters.
 class EventLoop {
  public:
   using TimerId = uint64_t;
@@ -344,15 +341,10 @@ class EventLoop {
   /// Steps so far, for the 1-in-1024 thread CPU sample (driving thread
   /// only; counted only with a registry).
   uint64_t steps_ = 0;
-  /// Deepest single-step drain so far, behind the watermark gauge
-  /// (driving thread only).
-  size_t handled_watermark_ = 0;
   metrics::Gauge* thread_cpu_ = nullptr;
   metrics::Counter* wakeup_counter_ = nullptr;
   metrics::Counter* idle_throttled_counter_ = nullptr;
   metrics::Counter* busy_ns_counter_ = nullptr;
-  metrics::Counter* idle_ns_counter_ = nullptr;
-  metrics::Gauge* handled_watermark_gauge_ = nullptr;
 };
 
 }  // namespace runtime

@@ -1,6 +1,7 @@
 #include "smgr/stream_manager.h"
 
 #include <algorithm>
+#include <iterator>
 #include <set>
 
 #include "common/logging.h"
@@ -116,9 +117,9 @@ void StreamManager::WireLoop() {
   // the loop to wake within 1 ms so parked envelopes never stall longer
   // than the hand-rolled loop allowed.
   loop_.AddService([this](int64_t now) {
-    if (retry_.empty()) return runtime::EventLoop::kNoDeadline;
-    FlushRetries();
-    return retry_.empty() ? runtime::EventLoop::kNoDeadline : now + 1000000;
+    if (parked_count_ == 0) return runtime::EventLoop::kNoDeadline;
+    return FlushRetries() == 0 ? runtime::EventLoop::kNoDeadline
+                               : now + 1000000;
   });
 
   // Shutdown drain: no tuple stranded in the cache, no envelope parked,
@@ -186,7 +187,7 @@ void StreamManager::Kill() {
   }
   running_.store(false);
   // Halt, not Stop: the shutdown drain never runs. Whatever sat in the
-  // tuple cache or retry queue dies with the "process" — exactly the loss
+  // tuple cache or a parked queue dies with the "process" — exactly the loss
   // the ack-timeout replay must repair.
   loop_.Halt();
   inbound_.Close();
@@ -496,12 +497,12 @@ bool StreamManager::Deliver(TaskId dest, proto::Envelope env) {
 
 void StreamManager::TrySendOrPark(const Transport::Endpoint& dest,
                                   proto::Envelope env) {
-  // FIFO invariant: while a destination has parked backlog, every new
-  // envelope for it parks unconditionally. Attempting a direct send here
-  // would let a fresh envelope overtake a parked predecessor the moment
-  // the receiver freed one slot — reordering tuples on that channel.
-  const auto backlog = parked_per_dest_.find(dest);
-  if (backlog == parked_per_dest_.end()) {
+  // FIFO invariant: while a destination has a queue, every new envelope
+  // for it joins the back. Attempting a direct send here would let a
+  // fresh envelope overtake a parked predecessor the moment the receiver
+  // freed one slot — reordering tuples on that channel.
+  auto queue = parked_.find(dest);
+  if (queue == parked_.end()) {
     // Lock-guarded lookup + send; `env` is consumed only on success.
     const Status st = transport_->TrySend(dest, &env);
     if (st.ok() || st.IsCancelled()) return;
@@ -510,77 +511,44 @@ void StreamManager::TrySendOrPark(const Transport::Endpoint& dest,
     // derived from the physical plan, so it will (re)register; dropping
     // here silently loses tuples emitted during the startup window — the
     // roots then ride out the full message timeout and fail. Park instead:
-    // the retry queue delivers the backlog the moment the endpoint
-    // registers, which is also what gives a restarted container its
-    // in-flight envelopes back.
+    // the queue is delivered the moment the endpoint registers, which is
+    // also what gives a restarted container its in-flight envelopes back.
+    queue = parked_.try_emplace(dest).first;
   }
   // Full, unregistered, or queued behind backlog: park and let the loop
   // retry. The SMGR never blocks on a send, which is what makes the
   // container's channel graph deadlock-free.
-  retry_.push_back({dest, std::move(env)});
-  ++parked_per_dest_[dest].count;
-  retry_depth_->Set(static_cast<int64_t>(retry_.size()));
+  queue->second.push_back(std::move(env));
+  ++parked_count_;
+  retry_depth_->Set(static_cast<int64_t>(parked_count_));
   MaybeTripBackpressure();
 }
 
 size_t StreamManager::FlushRetries() {
-  // One pass over the deque. Per-channel FIFO: once a destination refuses
-  // an envelope this pass, every later entry for it is requeued untried —
-  // otherwise a successor could slip into the slot its predecessor was
-  // just denied.
-  std::set<Transport::Endpoint> blocked;
-  const size_t n = retry_.size();
-  if (n != 0) {
-    // One registry-lock hold for the whole pass. Each destination's Route
-    // is resolved at most once and cached in its DestState (invalidated
-    // by the transport's registration generation), so a deep backlog to
-    // one endpoint costs one map lookup, not one lock + lookup per
-    // envelope. The scope must close before MaybeClearBackpressure below:
-    // a kStop broadcast re-enters the transport.
-    Transport::FlushScope scope(transport_);
-    for (size_t i = 0; i < n; ++i) {
-      Parked parked = std::move(retry_.front());
-      retry_.pop_front();
-      if (blocked.count(parked.dest) != 0) {
-        retry_.push_back(std::move(parked));
-        continue;
-      }
-      DestState& state = parked_per_dest_[parked.dest];
-      if (!state.resolved || state.gen != scope.generation()) {
-        state.resolved = scope.Resolve(parked.dest, &state.route);
-        state.gen = scope.generation();
-      }
-      // An unresolved endpoint is starting or restarting; its backlog
-      // must survive until it registers, or tuples emitted across the
-      // window are lost.
-      const Status st = state.resolved
-                            ? scope.TrySend(state.route, &parked.env)
-                            : Status::NotFound("endpoint not registered");
-      if (st.ok() || st.IsCancelled()) {
-        // Delivered (or the channel is closed and draining no further):
-        // backlog shrinks.
-        auto it = parked_per_dest_.find(parked.dest);
-        if (it != parked_per_dest_.end() && --it->second.count == 0) {
-          parked_per_dest_.erase(it);
-        }
-        continue;
-      }
-      // Full (kResourceExhausted) or not registered yet (kNotFound):
-      // keep the envelope parked.
-      blocked.insert(parked.dest);
-      retry_.push_back(std::move(parked));
+  for (auto it = parked_.begin(); it != parked_.end();) {
+    std::deque<proto::Envelope>& queue = it->second;
+    while (!queue.empty()) {
+      // Delivered, or the channel is closed and draining no further: the
+      // envelope leaves the queue. Full (kResourceExhausted) or not
+      // registered yet (kNotFound): the destination keeps its queue, and
+      // an endpoint that is (re)starting gets it once it registers.
+      const Status st = transport_->TrySend(it->first, &queue.front());
+      if (!st.ok() && !st.IsCancelled()) break;
+      queue.pop_front();
+      --parked_count_;
     }
+    it = queue.empty() ? parked_.erase(it) : std::next(it);
   }
-  retry_depth_->Set(static_cast<int64_t>(retry_.size()));
+  retry_depth_->Set(static_cast<int64_t>(parked_count_));
   MaybeClearBackpressure();
-  return retry_.size();
+  return parked_count_;
 }
 
 // -- Cluster-wide backpressure protocol --------------------------------
 
 void StreamManager::MaybeTripBackpressure() {
   if (local_backpressure_active_) return;
-  if (retry_.size() <= options_.backpressure_high_water) return;
+  if (parked_count_ <= options_.backpressure_high_water) return;
   local_backpressure_active_ = true;  // Set before broadcasting: the
   // broadcast itself may park and re-enter MaybeTripBackpressure, which
   // the flag turns into a no-op (bounded recursion).
@@ -589,14 +557,14 @@ void StreamManager::MaybeTripBackpressure() {
   backpressure_active_->Set(1);
   backpressure_starts_->Increment();
   HLOG(INFO) << "smgr " << options_.container
-             << " starting backpressure (retry depth " << retry_.size()
+             << " starting backpressure (retry depth " << parked_count_
              << " > " << options_.backpressure_high_water << ")";
   if (options_.journal != nullptr) {
     options_.journal->Record(
         observability::JournalEventType::kBackpressureStart,
         static_cast<int32_t>(options_.container), /*task=*/-1,
         backpressure_started_nanos_,
-        /*arg0=*/static_cast<int64_t>(retry_.size()),
+        /*arg0=*/static_cast<int64_t>(parked_count_),
         /*arg1=*/static_cast<int64_t>(options_.backpressure_high_water));
   }
   BroadcastBackpressure(proto::MessageType::kStartBackpressure);
@@ -604,9 +572,9 @@ void StreamManager::MaybeTripBackpressure() {
 
 void StreamManager::MaybeClearBackpressure() {
   if (!local_backpressure_active_) return;
-  if (retry_.size() > backpressure_low_water()) return;
+  if (parked_count_ > backpressure_low_water()) return;
   HLOG(INFO) << "smgr " << options_.container
-             << " stopping backpressure (retry depth " << retry_.size()
+             << " stopping backpressure (retry depth " << parked_count_
              << " <= " << backpressure_low_water() << ")";
   EndLocalEpisode(/*broadcast=*/true);
 }
@@ -623,7 +591,7 @@ void StreamManager::EndLocalEpisode(bool broadcast) {
         observability::JournalEventType::kBackpressureStop,
         static_cast<int32_t>(options_.container), /*task=*/-1, now,
         /*arg0=*/now - backpressure_started_nanos_,
-        /*arg1=*/static_cast<int64_t>(retry_.size()));
+        /*arg1=*/static_cast<int64_t>(parked_count_));
   }
   if (broadcast) {
     BroadcastBackpressure(proto::MessageType::kStopBackpressure);
@@ -633,7 +601,7 @@ void StreamManager::EndLocalEpisode(bool broadcast) {
 void StreamManager::BroadcastBackpressure(proto::MessageType type) {
   proto::BackpressureMsg msg;
   msg.initiator = options_.container;
-  msg.retry_depth = retry_.size();
+  msg.retry_depth = parked_count_;
   for (const ContainerId peer : transport_->RegisteredSmgrs()) {
     if (peer == options_.container) continue;
     serde::Buffer payload = transport_->buffer_pool()->Acquire();

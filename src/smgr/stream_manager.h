@@ -47,9 +47,9 @@ namespace smgr {
 /// Start() registers and arms the loop; the container runs it on a thread
 /// or a tasklet pool, and a deterministic test steps it with
 /// loop()->RunOnce() under a SimClock (no threads). The loop never blocks
-/// on a send — undeliverable envelopes park in a retry queue, in strict
-/// per-channel FIFO (a new envelope never overtakes a parked predecessor
-/// on the same channel).
+/// on a send — undeliverable envelopes park in one FIFO per destination,
+/// and a new envelope for a destination with a queue joins its back, so
+/// nothing overtakes a parked predecessor on the same channel.
 ///
 /// ## Cluster-wide spout back pressure
 /// Heron's spout back-pressure protocol, rendered as a control-plane
@@ -155,7 +155,8 @@ class StreamManager {
   void DrainCacheNow(bool timer_drain = true);
   /// Expires overdue roots and notifies spouts.
   void ExpireAcksNow();
-  /// Attempts queued re-deliveries; returns entries still parked.
+  /// Sends from the front of each destination's queue until that
+  /// destination refuses; returns the envelopes still parked.
   size_t FlushRetries();
 
   const TupleCache::Stats& cache_stats() const { return cache_.stats(); }
@@ -237,28 +238,16 @@ class StreamManager {
   /// Components hosted in this container that are spouts (root owners).
   std::map<TaskId, bool> local_task_is_spout_;
 
-  struct Parked {
-    Transport::Endpoint dest;
-    proto::Envelope env;
-  };
-  /// The retry queue holds Endpoints, not channel pointers: parked sends
-  /// resolve through the transport directory again, so a destination torn
-  /// down on another thread is never dereferenced, and a re-registered
-  /// one receives its backlog on the fresh channel.
-  std::deque<Parked> retry_;
-  /// Per-destination backlog bookkeeping. While `count` is non-zero, new
-  /// envelopes for the destination park unconditionally (per-channel
-  /// FIFO, no overtake). The cached Route lets FlushRetries resolve each
-  /// destination once per pass instead of paying a lock-guarded directory
-  /// lookup per parked envelope; it is valid only while `gen` matches the
-  /// transport's registration generation.
-  struct DestState {
-    size_t count = 0;
-    bool resolved = false;
-    uint64_t gen = 0;
-    Transport::Route route;
-  };
-  std::map<Transport::Endpoint, DestState> parked_per_dest_;
+  /// Parked sends, one FIFO per destination. A destination has a queue
+  /// only while something waits for it, and every new envelope for it
+  /// then joins the back (per-channel FIFO, no overtake). Keyed by
+  /// Endpoint, not channel pointer: parked sends resolve through the
+  /// transport directory again, so a destination torn down on another
+  /// thread is never dereferenced, and a re-registered one receives its
+  /// backlog on the fresh channel.
+  std::map<Transport::Endpoint, std::deque<proto::Envelope>> parked_;
+  /// Envelopes across all of parked_: the retry depth.
+  size_t parked_count_ = 0;
 
   // Backpressure state. The refcount is read by instance loops (other
   // threads); everything else is owned by this SMGR's loop thread.

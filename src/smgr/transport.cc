@@ -44,8 +44,6 @@ Status Transport::Configure(const Options& options) {
   }
   ipc::Fabric::Options fabric_options;
   fabric_options.pool = &buffer_pool_;
-  fabric_options.link_capacity_bytes = options.link_capacity_bytes;
-  fabric_options.pump_interval_us = options.pump_interval_us;
   HERON_ASSIGN_OR_RETURN(
       auto fabric, ipc::MakeFabric(ModeName(options.mode), fabric_options));
   if (fabric_ != nullptr) fabric_->StopPump();
@@ -98,7 +96,6 @@ Status Transport::RegisterInstance(TaskId task, EnvelopeChannel* channel) {
   }
   HERON_RETURN_NOT_OK(OpenLinkLocked(InstanceEndpoint(task), channel));
   instances_.emplace(task, channel);
-  ++generation_;
   return Status::OK();
 }
 
@@ -108,7 +105,6 @@ Status Transport::UnregisterInstance(TaskId task) {
     return Status::NotFound(StrFormat("task %d not registered", task));
   }
   fabric_->CloseLink(LinkKey(InstanceEndpoint(task))).ok();
-  ++generation_;
   return Status::OK();
 }
 
@@ -124,7 +120,6 @@ Status Transport::RegisterSmgr(ContainerId container,
   }
   HERON_RETURN_NOT_OK(OpenLinkLocked(SmgrEndpoint(container), channel));
   smgrs_.emplace(container, channel);
-  ++generation_;
   return Status::OK();
 }
 
@@ -135,11 +130,16 @@ Status Transport::UnregisterSmgr(ContainerId container) {
         StrFormat("container %d smgr not registered", container));
   }
   fabric_->CloseLink(LinkKey(SmgrEndpoint(container))).ok();
-  ++generation_;
   return Status::OK();
 }
 
-bool Transport::ResolveLocked(const Endpoint& dest, Route* route) const {
+Status Transport::TrySend(const Endpoint& dest, proto::Envelope* env) {
+  // The whole send runs under the registry lock: once Unregister returns
+  // on another thread, no sender can still be inside TrySend on the
+  // removed channel, so the owner may destroy it. TrySend never blocks,
+  // so the critical section is a bounded queue push (in-process) or a
+  // nonblocking wire write.
+  std::lock_guard<std::mutex> lock(mutex_);
   EnvelopeChannel* channel = nullptr;
   if (dest.kind == Endpoint::Kind::kInstance) {
     const auto it = instances_.find(dest.id);
@@ -148,14 +148,7 @@ bool Transport::ResolveLocked(const Endpoint& dest, Route* route) const {
     const auto it = smgrs_.find(dest.id);
     if (it != smgrs_.end()) channel = it->second;
   }
-  if (channel == nullptr) return false;
-  route->channel = channel;
-  route->link_key = LinkKey(dest);
-  return true;
-}
-
-Status Transport::SendOnRouteLocked(const Route& route,
-                                    proto::Envelope* env) {
+  if (channel == nullptr) return Status::NotFound("endpoint not registered");
   if (wire_mode_) {
     // Window probe: wire delivery is asynchronous, so a full or closed
     // destination would surface only at the pump — after the sender
@@ -163,10 +156,10 @@ Status Transport::SendOnRouteLocked(const Route& route,
     // in-process channel's synchronous kResourceExhausted/kCancelled
     // exactly, which is what keeps park/retry (and therefore the whole
     // backpressure protocol) byte-identical across transport modes.
-    if (route.channel->closed()) {
+    if (channel->closed()) {
       return Status::Cancelled("channel closed");
     }
-    if (route.channel->size() >= route.channel->capacity()) {
+    if (channel->size() >= channel->capacity()) {
       return Status::ResourceExhausted("destination window full");
     }
   }
@@ -183,30 +176,16 @@ Status Transport::SendOnRouteLocked(const Route& route,
     header.dest_kind = 1;
     header.dest = env->dest_task;
   }
-  HERON_RETURN_NOT_OK(fabric_->SendFrame(route.link_key, header,
-                                         &env->payload));
+  const uint64_t link_key = LinkKey(dest);
+  HERON_RETURN_NOT_OK(fabric_->SendFrame(link_key, header, &env->payload));
   if (wire_mode_) {
     // The wire copied the payload; recycle the buffer so steady-state
     // wire transport allocates nothing.
     buffer_pool_.Release(std::move(env->payload));
     env->payload = serde::Buffer();
-    if (options_.inline_pump) fabric_->PumpLink(route.link_key);
+    if (options_.inline_pump) fabric_->PumpLink(link_key);
   }
   return Status::OK();
-}
-
-Status Transport::TrySend(const Endpoint& dest, proto::Envelope* env) {
-  // The whole send runs under the registry lock: once Unregister returns
-  // on another thread, no sender can still be inside TrySend on the
-  // removed channel, so the owner may destroy it. TrySend never blocks,
-  // so the critical section is a bounded queue push (in-process) or a
-  // nonblocking wire write.
-  std::lock_guard<std::mutex> lock(mutex_);
-  Route route;
-  if (!ResolveLocked(dest, &route)) {
-    return Status::NotFound("endpoint not registered");
-  }
-  return SendOnRouteLocked(route, env);
 }
 
 EnvelopeChannel* Transport::InstanceChannel(TaskId task) const {

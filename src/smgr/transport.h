@@ -52,15 +52,11 @@ class Transport {
     /// pump thread), so wire modes are observably identical to
     /// in-process under a single-stepped reactor.
     bool inline_pump = false;
-    /// Per-link wire backlog cap (socket spill buffer / shm ring bytes).
-    size_t link_capacity_bytes = 1u << 20;
-    /// Background pump cadence for threaded wire modes.
-    int64_t pump_interval_us = 200;
   };
 
   /// A send destination in the directory: a task's instance channel or a
   /// container's SMGR channel. Senders that may outlive the receiver
-  /// (the SMGR's park/retry queue) hold Endpoints, never raw channel
+  /// (the SMGR's parked queues) hold Endpoints, never raw channel
   /// pointers: a torn-down endpoint cannot be dereferenced after free,
   /// and a re-registered one (container restart) receives its backlog on
   /// the fresh channel.
@@ -81,15 +77,6 @@ class Transport {
   static Endpoint SmgrEndpoint(ContainerId container) {
     return Endpoint{Endpoint::Kind::kSmgr, container};
   }
-
-  /// A resolved send path: the destination's inbound channel (for the
-  /// wire-mode window probe) plus its fabric link. Valid only while the
-  /// endpoint stays registered — cache it across sends only together
-  /// with the generation() observed at resolution (see FlushScope).
-  struct Route {
-    EnvelopeChannel* channel = nullptr;
-    uint64_t link_key = 0;
-  };
 
   Transport();
   ~Transport();
@@ -119,38 +106,6 @@ class Transport {
   /// it is intact for the caller to park and retry.
   Status TrySend(const Endpoint& dest, proto::Envelope* env);
 
-  /// \brief One registry-lock hold spanning a whole retry pass.
-  ///
-  /// FlushRetries used to pay a lock-guarded directory lookup per parked
-  /// envelope; a FlushScope takes the lock once, lets the caller resolve
-  /// each destination once (caching the Route in its per-destination
-  /// backlog entry, keyed by generation()), and sends every envelope
-  /// over resolved routes without relocking. Do not call any other
-  /// Transport method while a scope is open (the lock is held).
-  class FlushScope {
-   public:
-    explicit FlushScope(Transport* transport)
-        : transport_(transport), lock_(transport->mutex_) {}
-
-    /// Registration epoch: bumps on every (un)register. A cached Route
-    /// resolved under an older generation must be re-resolved.
-    uint64_t generation() const { return transport_->generation_; }
-
-    /// Resolves `dest` under the held lock; false when not registered.
-    bool Resolve(const Endpoint& dest, Route* route) const {
-      return transport_->ResolveLocked(dest, route);
-    }
-
-    /// Same contract as Transport::TrySend, minus the per-call lock.
-    Status TrySend(const Route& route, proto::Envelope* env) {
-      return transport_->SendOnRouteLocked(route, env);
-    }
-
-   private:
-    Transport* transport_;
-    std::lock_guard<std::mutex> lock_;
-  };
-
   /// nullptr when the endpoint is not (currently) registered — e.g. its
   /// container is being restarted; senders retry.
   EnvelopeChannel* InstanceChannel(TaskId task) const;
@@ -175,15 +130,11 @@ class Transport {
   /// Opens `dest`'s fabric link with a sink that rebuilds the Envelope
   /// from the frame header and pushes it into `channel`.
   Status OpenLinkLocked(const Endpoint& dest, EnvelopeChannel* channel);
-  bool ResolveLocked(const Endpoint& dest, Route* route) const;
-  Status SendOnRouteLocked(const Route& route, proto::Envelope* env);
 
   mutable std::mutex mutex_;
   Options options_;
   std::map<TaskId, EnvelopeChannel*> instances_;
   std::map<ContainerId, EnvelopeChannel*> smgrs_;
-  /// Registration epoch for cached-Route invalidation (see FlushScope).
-  uint64_t generation_ = 0;
   serde::BufferPool buffer_pool_;
   std::unique_ptr<ipc::Fabric> fabric_;
   /// True for wire modes (socket/shm): delivery is asynchronous, so

@@ -386,6 +386,36 @@ TEST_F(LocalClusterTest, SubmitRejectsBadSchedulerAndExecutionSettings) {
   }
 }
 
+// A live cooperative cluster reports its pool in the snapshot and names
+// its tasklets in the timeline: each of the 2 containers runs an SMGR, 2
+// instances and housekeeping, so 8 tasklets share the 2 workers.
+TEST_F(LocalClusterTest, CooperativeSnapshotReportsTheScheduler) {
+  Config config = BaseConfig();
+  config.Set(config_keys::kExecutionMode, "cooperative");
+  config.SetInt(config_keys::kExecutionWorkers, 2);
+  config.SetBool(config_keys::kAckingEnabled, true);
+  config.SetInt(config_keys::kMaxSpoutPending, 1000);
+  LocalCluster cluster(config);
+  workloads::WordSpout::Options spout_options;
+  spout_options.dictionary_size = 1000;
+  spout_options.words_per_call = 4;
+  auto topology = workloads::BuildWordCountTopology("wc-coop-snapshot", 2, 2,
+                                                    spout_options);
+  ASSERT_TRUE(topology.ok()) << topology.status().ToString();
+  ASSERT_TRUE(cluster.Submit(*topology).ok());
+  ASSERT_TRUE(cluster.WaitForCounter("instance.acked", 2000, 30000).ok());
+
+  const observability::TopologySnapshot snapshot = cluster.BuildSnapshot();
+  EXPECT_EQ(snapshot.scheduler.workers, 2u);
+  EXPECT_EQ(snapshot.scheduler.tasklets, 8u);
+  EXPECT_GT(snapshot.scheduler.slices, 0u);
+  EXPECT_GT(snapshot.scheduler.occupancy, 0.0);
+  EXPECT_LE(snapshot.scheduler.occupancy, 1.0);
+  EXPECT_LE(snapshot.scheduler.busy_ms, snapshot.scheduler.wall_ms);
+  EXPECT_NE(cluster.BuildTimelineJson().find("smgr-0"), std::string::npos);
+  ASSERT_TRUE(cluster.Kill().ok());
+}
+
 // Plan-swap hygiene for a removed container that is already dead: the
 // repack drops a hard-killed container X, so SwapPlan must stop expecting
 // X's heartbeats, and no survivor may stay throttled by X's backpressure

@@ -105,29 +105,6 @@ TEST(MessagesTest, ParseTupleBatchViewIsZeroCopy) {
   EXPECT_EQ(t0.values, MakeTuple(5).values);
 }
 
-TEST(MessagesTest, OverwriteDestTaskInPlaceSameWidth) {
-  TupleBatchMsg batch;
-  batch.src_task = 1;
-  batch.dest_task = 10;  // Single-byte zigzag varint.
-  batch.src_component = "c";
-  serde::Buffer bytes = batch.SerializeAsBuffer();
-  ASSERT_TRUE(OverwriteDestTaskInPlace(&bytes, 25));  // Also single byte.
-  EXPECT_EQ(*PeekDestTask(bytes), 25);
-  // Everything else intact.
-  TupleBatchMsg parsed;
-  ASSERT_TRUE(parsed.ParseFromBytes(bytes).ok());
-  EXPECT_EQ(parsed.src_task, 1);
-  EXPECT_EQ(parsed.src_component, "c");
-}
-
-TEST(MessagesTest, OverwriteDestTaskRefusesWidthChange) {
-  TupleBatchMsg batch;
-  batch.dest_task = 10;  // 1-byte varint.
-  serde::Buffer bytes = batch.SerializeAsBuffer();
-  EXPECT_FALSE(OverwriteDestTaskInPlace(&bytes, 100000));  // Needs 3 bytes.
-  EXPECT_EQ(*PeekDestTask(bytes), 10);  // Untouched.
-}
-
 TEST(MessagesTest, PeekTupleKeyAndRootsStopsEarly) {
   const TupleDataMsg msg = MakeTuple();
   api::TupleKey key = 0;

@@ -514,6 +514,63 @@ TEST_F(StreamManagerTest, ParkedChannelPreservesFifoOrder) {
   EXPECT_EQ(smgr.FlushRetries(), 0u);
 }
 
+// Parked sends queue per destination: a destination that refuses holds
+// back only its own queue. Task 2 is local behind a full capacity-1
+// channel; task 3 lives in container 1, whose SMGR has not registered.
+TEST_F(StreamManagerTest, FullDestinationDoesNotHoldBackAnother) {
+  Transport transport;
+  StreamManager smgr(BaseOptions(), physical_, &transport, RealClock::Get());
+  EnvelopeChannel tiny(1);
+  ASSERT_TRUE(transport.RegisterInstance(2, &tiny).ok());
+
+  const auto routed = [](TaskId dest, const std::string& word) {
+    proto::TupleBatchMsg batch;
+    batch.src_task = 0;
+    batch.dest_task = dest;
+    proto::TupleDataMsg msg;
+    msg.values.emplace_back(word);
+    batch.tuples.push_back(msg.SerializeAsBuffer());
+    return proto::Envelope(proto::MessageType::kTupleBatchRouted,
+                           batch.SerializeAsBuffer());
+  };
+  const auto recv_word = [](EnvelopeChannel* channel) -> std::string {
+    auto env = channel->TryRecv();
+    if (!env.has_value()) return "<empty>";
+    proto::TupleBatchMsg batch;
+    EXPECT_TRUE(batch.ParseFromBytes(env->payload).ok());
+    proto::TupleDataMsg msg;
+    EXPECT_TRUE(msg.ParseFromBytes(batch.tuples.at(0)).ok());
+    return std::get<std::string>(msg.values[0]);
+  };
+  const auto depth = [&] {
+    return smgr.metrics()->GetGauge("smgr.retry.depth")->value();
+  };
+
+  for (const auto& [task2_word, task3_word] :
+       {std::pair<std::string, std::string>{"a", "x"}, {"b", "y"},
+        {"c", "z"}}) {
+    smgr.ProcessEnvelope(routed(2, task2_word));
+    smgr.ProcessEnvelope(routed(3, task3_word));
+  }
+  EXPECT_EQ(depth(), 5) << "'a' fills task 2's channel; the rest park";
+
+  // Container 1 registers: its whole queue goes in one flush, although
+  // task 2 still refuses.
+  EnvelopeChannel peer(16);
+  ASSERT_TRUE(transport.RegisterSmgr(1, &peer).ok());
+  EXPECT_EQ(smgr.FlushRetries(), 2u);
+  for (const char* word : {"x", "y", "z"}) EXPECT_EQ(recv_word(&peer), word);
+  EXPECT_EQ(peer.size(), 0u);
+
+  // Task 2 drains one slot at a time, in order.
+  for (const char* word : {"a", "b", "c"}) {
+    EXPECT_EQ(recv_word(&tiny), word);
+    smgr.FlushRetries();
+  }
+  EXPECT_EQ(tiny.size(), 0u);
+  EXPECT_EQ(depth(), 0);
+}
+
 // Hysteresis: the episode trips above the high watermark and holds until
 // the backlog drains to the low watermark — the flag cannot flap while
 // the depth oscillates between the two.
