@@ -150,16 +150,11 @@ inline constexpr char kExecutionWorkers[] = "heron.execution.workers";
 inline constexpr char kExecutionSliceNanos[] =
     "heron.execution.slice.target.nanos";
 
-// Chaos (fault injection on the monitor tick).
-/// Per-tick probability of hard-killing one random live container.
-inline constexpr char kChaosKillProbability[] = "heron.chaos.kill.probability";
-/// Cap on chaos-injected kills (0 = unlimited).
-inline constexpr char kChaosMaxKills[] = "heron.chaos.max.kills";
-/// RNG seed for the chaos schedule.
-inline constexpr char kChaosSeed[] = "heron.chaos.seed";
-
 // State manager.
+/// Backend LocalCluster builds at its first Submit: "IN_MEMORY" (default)
+/// or "LOCAL_FILE"; another kind fails the submit.
 inline constexpr char kStateManagerKind[] = "heron.statemgr.kind";
+/// Root directory of the LOCAL_FILE tree (required by that backend).
 inline constexpr char kStateManagerRoot[] = "heron.statemgr.root.path";
 
 // Checkpointing (aligned barriers + snapshot restore).

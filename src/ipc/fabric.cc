@@ -12,8 +12,7 @@ namespace ipc {
 void Fabric::StartPump() {
   if (pumping_.exchange(true)) return;
   pump_thread_ = std::thread([this] {
-    const auto interval = std::chrono::microseconds(
-        options_.pump_interval_us > 0 ? options_.pump_interval_us : 200);
+    const auto interval = std::chrono::microseconds(kPumpIntervalMicros);
     while (pumping_.load(std::memory_order_acquire)) {
       Pump();
       // Sleep-driven cadence rather than fd readiness: the pump drains

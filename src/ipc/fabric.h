@@ -80,9 +80,10 @@ class Fabric {
     /// Pool that receive paths draw payload buffers from (not owned).
     /// nullptr = plain allocation.
     serde::BufferPool* pool = nullptr;
-    /// Background pump cadence (threaded mode).
-    int64_t pump_interval_us = 200;
   };
+
+  /// Background pump cadence (threaded mode).
+  static constexpr int64_t kPumpIntervalMicros = 200;
 
   virtual ~Fabric() = default;
 

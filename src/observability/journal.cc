@@ -33,8 +33,6 @@ const char* JournalEventTypeName(JournalEventType type) {
       return "container_restored";
     case JournalEventType::kPlanSwap:
       return "plan_swap";
-    case JournalEventType::kChaosKill:
-      return "chaos_kill";
   }
   return "unknown";
 }

@@ -27,17 +27,18 @@ enum class JournalEventType : uint8_t {
   kCheckpointTriggered = 4, ///< Coordinator opened a barrier (arg0 = id).
   kCheckpointComplete = 5,  ///< All tasks snapshotted (arg0 = id).
   kCheckpointAborted = 6,   ///< In-flight checkpoint abandoned (arg0 = id).
-  kCheckpointRestore = 7,   ///< Global rollback began (arg0 = id).
+  kCheckpointRestore = 7,   ///< Global rollback began (origin = the dead
+                            ///< container, -1 for a repack; arg0 = id;
+                            ///< arg1 = containers a repack halted).
   kScalingDecision = 8,     ///< Engine verdict (detail = component,
                             ///< arg0 = from parallelism, arg1 = to).
   kContainerStart = 9,      ///< Container (re)started.
   kContainerDead = 10,      ///< Liveness monitor declared death.
   kContainerRestored = 11,  ///< Recovery brought the container back.
   kPlanSwap = 12,           ///< New physical plan installed (detail = why).
-  kChaosKill = 13,          ///< Fault injection pulled the trigger.
 };
 
-inline constexpr size_t kNumJournalEventTypes = 14;
+inline constexpr size_t kNumJournalEventTypes = 13;
 
 /// Short stable name for dumps and JSON ("backpressure_start", ...).
 const char* JournalEventTypeName(JournalEventType type);

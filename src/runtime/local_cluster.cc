@@ -14,10 +14,24 @@
 namespace heron {
 namespace runtime {
 
+namespace {
+
+/// A mode's selection: the config key, then the environment override (how
+/// CI lanes re-run the suite under another wire or engine), else
+/// `fallback`.
+std::string ModeFromConfigOrEnv(const Config& config, const char* key,
+                                const char* env, const char* fallback) {
+  std::string mode = config.GetStringOr(key, "");
+  const char* env_mode = std::getenv(env);
+  if (mode.empty() && env_mode != nullptr) mode = env_mode;
+  return mode.empty() ? fallback : mode;
+}
+
+}  // namespace
+
 LocalCluster::LocalCluster(Config cluster_config, const Clock* clock)
     : cluster_config_(std::move(cluster_config)),
       clock_(clock != nullptr ? clock : RealClock::Get()) {
-  HERON_CHECK_OK(state_.Initialize(cluster_config_));
   recovery_detect_ms_ = recovery_metrics_.GetHistogram("recovery.detect.ms");
   recovery_restore_ms_ = recovery_metrics_.GetHistogram("recovery.restore.ms");
   recovery_detect_last_ms_ =
@@ -26,7 +40,6 @@ LocalCluster::LocalCluster(Config cluster_config, const Clock* clock)
       recovery_metrics_.GetGauge("recovery.restore.last.ms");
   recovery_deaths_ = recovery_metrics_.GetCounter("recovery.deaths");
   recovery_restarts_ = recovery_metrics_.GetCounter("recovery.restarts");
-  chaos_kill_counter_ = recovery_metrics_.GetCounter("chaos.kills");
   checkpoint_restores_ =
       recovery_metrics_.GetCounter("recovery.checkpoint.restores");
 }
@@ -74,39 +87,35 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
           "local cluster already runs a topology");
     }
   }
+  // The State Manager backend named by heron.statemgr.kind (§IV-C), built
+  // here rather than in the constructor so a bad kind fails the submit.
+  if (state_ == nullptr) {
+    HERON_ASSIGN_OR_RETURN(state_,
+                           statemgr::CreateStateManager(cluster_config_));
+  }
   topology_ = topology;
   merged_config_ = cluster_config_.MergedWith(topology->config());
   step_mode_ = merged_config_.GetBoolOr(config_keys::kClusterStepMode, false);
 
-  // Wire transport selection, before any container registers an endpoint:
-  // config key first, then the HERON_TRANSPORT_MODE environment override
-  // (how CI lanes re-run the suite over socket/shm), default in-process.
-  // Step mode pumps wire fabrics inline so single-stepped universes stay
-  // deterministic regardless of the wire.
-  std::string transport_mode =
-      merged_config_.GetStringOr(config_keys::kTransportMode, "");
-  if (transport_mode.empty()) {
-    const char* env_mode = std::getenv("HERON_TRANSPORT_MODE");
-    if (env_mode != nullptr) transport_mode = env_mode;
-  }
-  HERON_ASSIGN_OR_RETURN(const smgr::Transport::Mode transport_kind,
-                         smgr::Transport::ParseMode(transport_mode));
+  // Wire transport selection, before any container registers an endpoint
+  // (default in-process). Step mode pumps wire fabrics inline so
+  // single-stepped universes stay deterministic regardless of the wire.
+  HERON_ASSIGN_OR_RETURN(
+      const smgr::Transport::Mode transport_kind,
+      smgr::Transport::ParseMode(ModeFromConfigOrEnv(
+          merged_config_, config_keys::kTransportMode, "HERON_TRANSPORT_MODE",
+          "in-process")));
   smgr::Transport::Options transport_options;
   transport_options.mode = transport_kind;
   transport_options.inline_pump = step_mode_;
   HERON_RETURN_NOT_OK(transport_.Configure(transport_options));
 
-  // Execution-mode selection, same precedence as the transport: config
-  // key, then the HERON_EXECUTION_MODE environment override, default
+  // Execution-mode selection, same precedence as the transport, default
   // thread-per-instance. Step mode wins over cooperative — a step-mode
   // universe is threadless by definition, so no pool is built.
-  std::string execution_mode =
-      merged_config_.GetStringOr(config_keys::kExecutionMode, "");
-  if (execution_mode.empty()) {
-    const char* env_mode = std::getenv("HERON_EXECUTION_MODE");
-    if (env_mode != nullptr) execution_mode = env_mode;
-  }
-  if (execution_mode.empty()) execution_mode = "thread";
+  const std::string execution_mode =
+      ModeFromConfigOrEnv(merged_config_, config_keys::kExecutionMode,
+                          "HERON_EXECUTION_MODE", "thread");
   if (execution_mode != "thread" && execution_mode != "cooperative") {
     return Status::InvalidArgument("unknown execution mode: '" +
                                    execution_mode +
@@ -143,7 +152,7 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
   slice_ring_.reset();
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    journals_.clear();
+    rings_.clear();
   }
   if (journal_ring_capacity_ > 0) {
     control_journal_ = std::make_unique<observability::EventJournal>(
@@ -165,14 +174,6 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
     tasklet_pool_->Start();
   }
 
-  chaos_kill_probability_ =
-      merged_config_.GetDoubleOr(config_keys::kChaosKillProbability, 0);
-  chaos_max_kills_ = static_cast<int>(
-      merged_config_.GetIntOr(config_keys::kChaosMaxKills, 0));
-  chaos_rng_ = Random(static_cast<uint64_t>(
-      merged_config_.GetIntOr(config_keys::kChaosSeed, 1)));
-  chaos_kills_ = 0;
-
   // 1. Resource Manager: "first determines how many containers should be
   //    allocated for the topology" (§II).
   HERON_ASSIGN_OR_RETURN(
@@ -186,9 +187,10 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
   HERON_RETURN_NOT_OK(BuildScheduler(plan));
 
   // 3. State Manager: register the topology and its metadata (§IV-C).
-  HERON_RETURN_NOT_OK(statemgr::RegisterTopology(&state_, topology->name()));
+  HERON_RETURN_NOT_OK(
+      statemgr::RegisterTopology(state_.get(), topology->name()));
   HERON_RETURN_NOT_OK(statemgr::SetSchedulerLocation(
-      &state_, topology->name(),
+      state_.get(), topology->name(),
       framework_ != nullptr ? framework_->Url() : "local://localhost"));
 
   // 4. TMaster in (alongside) container 0, with the heartbeat monitor
@@ -196,8 +198,8 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
   //    Scheduler.
   tmaster::TopologyMaster::Options tm_options;
   tm_options.topology = topology->name();
-  tmaster_ = std::make_unique<tmaster::TopologyMaster>(tm_options, &state_,
-                                                       clock_);
+  tmaster_ = std::make_unique<tmaster::TopologyMaster>(
+      tm_options, state_.get(), clock_);
   HERON_RETURN_NOT_OK(tmaster_->Start());
   HERON_RETURN_NOT_OK(tmaster_->PublishPackingPlan(plan));
 
@@ -238,7 +240,7 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
     ckpt_options.interval_ms = checkpoint_interval_ms;
     ckpt_options.journal = control_journal_.get();
     checkpoint_coordinator_ = std::make_unique<tmaster::CheckpointCoordinator>(
-        ckpt_options, &state_, &transport_, clock_);
+        ckpt_options, state_.get(), &transport_, clock_);
   } else {
     checkpoint_coordinator_.reset();
   }
@@ -254,15 +256,11 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
       merged_config_.GetIntOr(config_keys::kMetricsCacheWindowSec, 1) *
       1'000'000'000;
   metrics_cache_ = std::make_shared<observability::MetricsCache>(cache_options);
-  metrics_cache_->SetPublishTarget(&state_);
+  metrics_cache_->SetPublishTarget(state_.get());
   trace_sample_inverse_ =
       merged_config_.GetIntOr(config_keys::kTraceSampleInverse, 0);
   trace_ring_capacity_ = static_cast<size_t>(
       merged_config_.GetIntOr(config_keys::kTraceRingCapacity, 1 << 16));
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    span_collectors_.clear();
-  }
 
   // 4c. Auto-scaling: the policy engine rides the monitor tick, judging
   //     each completed metrics-cache window and driving the exactly-once
@@ -273,7 +271,7 @@ Status LocalCluster::Submit(std::shared_ptr<const api::Topology> topology) {
   scaling_options.journal = control_journal_.get();
   if (scaling_options.enabled) {
     scaling_engine_ = std::make_unique<tmaster::ScalingPolicyEngine>(
-        scaling_options, metrics_cache_.get(), &state_, clock_);
+        scaling_options, metrics_cache_.get(), state_.get(), clock_);
     scaling_engine_->SetExecute(
         [this](const ComponentId& component, int new_parallelism) {
           return ScaleWithRollback(component, new_parallelism);
@@ -365,7 +363,7 @@ Status LocalCluster::Kill() {
   }
   const Status st = scheduler_->OnKill({topology_->name()});
   tmaster_->Stop().ok();
-  statemgr::UnregisterTopology(&state_, topology_->name()).ok();
+  statemgr::UnregisterTopology(state_.get(), topology_->name()).ok();
   packing_->Close();
   // Cooperative pool last: every container (and thus every tasklet) is
   // stopped and retired by OnKill above, so the workers are idle.
@@ -404,32 +402,19 @@ Status LocalCluster::ScaleWithRollback(const ComponentId& component,
     return Scale(component, new_parallelism);
   }
 
-  // 1. Freeze the checkpoint epoch: abort the in-flight checkpoint (its
-  //    task set is about to change) and pick the restore target.
-  const uint64_t restore_id = checkpoint_coordinator_->latest_complete();
-  checkpoint_coordinator_->AbortInFlight();
   HLOG(WARNING) << "scaling '" << component << "' to " << new_parallelism
-                << " via rollback to checkpoint " << restore_id;
-
+                << " via checkpoint rollback";
   HERON_ASSIGN_OR_RETURN(packing::PackingPlan new_plan,
                          Repack(component, new_parallelism));
 
-  // 2. Halt every live container — the global rollback contract: tuples
-  //    in flight past the checkpoint are of the doomed epoch and must be
-  //    discarded, not drained onto a plan that no longer routes them.
-  //    Then swap the plan and restart the halted incumbents on it (their
-  //    instances restore the checkpoint; repack-added containers start
-  //    cold — MaybeRestore tolerates tasks the checkpoint never knew) and
-  //    the spouts re-emit the post-checkpoint suffix onto the new routing
-  //    tables.
-  return RollBack(restore_id, [&](const std::vector<ContainerId>& halted) {
-    if (control_journal_ != nullptr) {
-      control_journal_->Record(
-          observability::JournalEventType::kCheckpointRestore,
-          /*origin=*/-1, /*task=*/-1, clock_->NowNanos(),
-          /*arg0=*/static_cast<int64_t>(restore_id),
-          /*arg1=*/static_cast<int64_t>(halted.size()));
-    }
+  // Halt every live container — the global rollback contract: tuples in
+  // flight past the checkpoint are of the doomed epoch and must be
+  // discarded, not drained onto a plan that no longer routes them. Then
+  // swap the plan and restart the halted incumbents on it (their instances
+  // restore the checkpoint; repack-added containers start cold —
+  // MaybeRestore tolerates tasks the checkpoint never knew) and the spouts
+  // re-emit the post-checkpoint suffix onto the new routing tables.
+  return RollBack(/*dead=*/-1, [&](const std::vector<ContainerId>& halted) {
     return SwapPlan(new_plan, new_parallelism, "scale-rollback", halted);
   });
 }
@@ -507,16 +492,9 @@ Status LocalCluster::RestartContainer(ContainerId id) {
 }
 
 Status LocalCluster::FailContainer(ContainerId id) {
-  std::unique_ptr<Container> victim;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = containers_.find(id);
-    if (it == containers_.end()) {
-      return Status::NotFound(StrFormat("container %d not live", id));
-    }
-    victim = std::move(it->second);
-    containers_.erase(it);
-    failed_containers_.insert(id);
+  std::unique_ptr<Container> victim = TakeContainer(id, /*failed=*/true);
+  if (victim == nullptr) {
+    return Status::NotFound(StrFormat("container %d not live", id));
   }
   HLOG(WARNING) << "FAULT INJECTION: hard-killing container " << id;
   // Failure-state diagnostics: the dead container's flight-recorder tail
@@ -524,10 +502,8 @@ Status LocalCluster::FailContainer(ContainerId id) {
   // doing in the moments before the kill.
   if (journal_ring_capacity_ > 0) {
     std::vector<observability::JournalEvent> tail;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = journals_.find(id);
-      if (it != journals_.end()) tail = it->second->Snapshot();
+    if (observability::EventJournal* ring = journal(id)) {
+      tail = ring->Snapshot();
     }
     constexpr size_t kTailEvents = 8;
     const size_t first =
@@ -559,33 +535,8 @@ void LocalCluster::StepAll() {
   for (Container* container : live) container->Step();
 }
 
-void LocalCluster::MaybeChaosKill() {
-  if (chaos_kill_probability_ <= 0) return;
-  if (chaos_max_kills_ > 0 && chaos_kills_ >= chaos_max_kills_) return;
-  if (!chaos_rng_.NextBool(chaos_kill_probability_)) return;
-  std::vector<ContainerId> live;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [id, _] : containers_) live.push_back(id);
-  }
-  if (live.empty()) return;
-  const ContainerId target =
-      live[chaos_rng_.NextBelow(static_cast<uint64_t>(live.size()))];
-  if (FailContainer(target).ok()) {
-    ++chaos_kills_;
-    chaos_kill_counter_->Increment();
-    if (control_journal_ != nullptr) {
-      control_journal_->Record(observability::JournalEventType::kChaosKill,
-                               /*origin=*/target, /*task=*/-1,
-                               clock_->NowNanos(),
-                               /*arg0=*/chaos_kills_.load(), /*arg1=*/0);
-    }
-  }
-}
-
 void LocalCluster::MonitorTick() {
   if (!running()) return;
-  MaybeChaosKill();
   if (tmaster_ != nullptr) {
     // CheckLiveness emits ContainerEvents through OnContainerEvent, which
     // routes deaths into the Scheduler synchronously — by the time this
@@ -654,27 +605,13 @@ void LocalCluster::OnContainerEvent(
 }
 
 void LocalCluster::RestoreFromCheckpoint(ContainerId dead) {
-  // 1. Freeze the checkpoint epoch: abort the in-flight checkpoint (the
-  //    dead container can never report into it) and pick the restore
-  //    target — the latest globally-complete id, 0 = cold restart.
-  const uint64_t restore_id = checkpoint_coordinator_->latest_complete();
-  checkpoint_coordinator_->AbortInFlight();
-  HLOG(WARNING) << "container " << dead
-                << " died in exactly-once mode; rolling every container "
-                << "back to checkpoint " << restore_id;
-  if (control_journal_ != nullptr) {
-    control_journal_->Record(
-        observability::JournalEventType::kCheckpointRestore,
-        /*origin=*/dead, /*task=*/-1, clock_->NowNanos(),
-        /*arg0=*/static_cast<int64_t>(restore_id), /*arg1=*/0);
-  }
-
-  // 2. Halt every survivor. The rollback is global: tuples in flight past
-  //    the checkpoint — in outboxes, caches, channels — are of the failed
-  //    epoch and must be discarded, not drained.
-  RollBack(restore_id, [&](const std::vector<ContainerId>& survivors) {
-    // 3. Restart the dead container through the framework contract, then
-    //    the survivors directly.
+  HLOG(WARNING) << "container " << dead << " died in exactly-once mode";
+  // Halt every survivor. The rollback is global: tuples in flight past the
+  // checkpoint — in outboxes, caches, channels — are of the failed epoch
+  // and must be discarded, not drained.
+  RollBack(dead, [&](const std::vector<ContainerId>& survivors) {
+    // Restart the dead container through the framework contract, then the
+    // survivors directly.
     const Status st = scheduler_->OnContainerDead(topology_->name(), dead);
     if (!st.ok()) {
       HLOG(ERROR) << "checkpoint recovery of container " << dead
@@ -695,9 +632,13 @@ void LocalCluster::RestoreFromCheckpoint(ContainerId dead) {
 }
 
 Status LocalCluster::RollBack(
-    uint64_t restore_id,
+    ContainerId dead,
     const std::function<Status(const std::vector<ContainerId>& halted)>&
         restart) {
+  const uint64_t restore_id = checkpoint_coordinator_->latest_complete();
+  checkpoint_coordinator_->AbortInFlight();
+  HLOG(WARNING) << "rolling every container back to checkpoint "
+                << restore_id;
   std::vector<ContainerId> halted;
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -705,17 +646,16 @@ Status LocalCluster::RollBack(
     ++checkpoint_epoch_;
     for (const auto& [id, _] : containers_) halted.push_back(id);
   }
+  if (control_journal_ != nullptr) {
+    control_journal_->Record(
+        observability::JournalEventType::kCheckpointRestore,
+        /*origin=*/dead, /*task=*/-1, clock_->NowNanos(),
+        /*arg0=*/static_cast<int64_t>(restore_id),
+        /*arg1=*/dead < 0 ? static_cast<int64_t>(halted.size()) : 0);
+  }
   for (const ContainerId id : halted) {
-    std::unique_ptr<Container> victim;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      const auto it = containers_.find(id);
-      if (it == containers_.end()) continue;
-      victim = std::move(it->second);
-      containers_.erase(it);
-      failed_containers_.insert(id);
-    }
-    victim->Fail();
+    std::unique_ptr<Container> victim = TakeContainer(id, /*failed=*/true);
+    if (victim != nullptr) victim->Fail();
   }
   HERON_RETURN_NOT_OK(restart(halted));
   {
@@ -750,36 +690,35 @@ Status LocalCluster::StartContainer(const packing::ContainerPlan& container) {
     // Flight recorder: like the span ring, the journal is keyed by
     // container id and kept across restarts, so a recovered incarnation's
     // events land next to its predecessor's.
+    Rings& rings = rings_[container.id];
     if (journal_ring_capacity_ > 0) {
-      auto& journal = journals_[container.id];
-      if (journal == nullptr) {
-        journal = std::make_unique<observability::EventJournal>(
+      if (rings.journal == nullptr) {
+        rings.journal = std::make_unique<observability::EventJournal>(
             journal_ring_capacity_);
       }
-      live->set_journal(journal.get());
-      journal->Record(observability::JournalEventType::kContainerStart,
-                      /*origin=*/container.id, /*task=*/-1,
-                      clock_->NowNanos(),
-                      /*arg0=*/static_cast<int64_t>(container.instances.size()),
-                      /*arg1=*/recovering ? 1 : 0);
+      live->set_journal(rings.journal.get());
+      rings.journal->Record(
+          observability::JournalEventType::kContainerStart,
+          /*origin=*/container.id, /*task=*/-1, clock_->NowNanos(),
+          /*arg0=*/static_cast<int64_t>(container.instances.size()),
+          /*arg1=*/recovering ? 1 : 0);
     }
     // Checkpoint wiring: instances snapshot into (and restore from) the
     // cluster state tree. pending_restore_ckpt_ is nonzero only inside
     // RollBack's restart storm.
     if (checkpoint_coordinator_ != nullptr) {
-      live->set_checkpoint_options(&state_, pending_restore_ckpt_,
+      live->set_checkpoint_options(state_.get(), pending_restore_ckpt_,
                                    checkpoint_epoch_);
     }
     // Sampled tracing: hand the container its span ring. The ring is
     // keyed by container id and kept across restarts, so a recovered
     // incarnation's spans land next to its predecessor's.
     if (trace_sample_inverse_ > 0) {
-      auto& collector = span_collectors_[container.id];
-      if (collector == nullptr) {
-        collector = std::make_unique<observability::SpanCollector>(
+      if (rings.spans == nullptr) {
+        rings.spans = std::make_unique<observability::SpanCollector>(
             trace_ring_capacity_);
       }
-      live->set_span_collector(collector.get());
+      live->set_span_collector(rings.spans.get());
     }
   }
   // TMaster subscription: this container's collection rounds flush into
@@ -824,15 +763,9 @@ Status LocalCluster::StartContainer(const packing::ContainerPlan& container) {
 }
 
 Status LocalCluster::StopContainer(ContainerId id) {
-  std::unique_ptr<Container> victim;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = containers_.find(id);
-    if (it == containers_.end()) {
-      return Status::NotFound(StrFormat("container %d not live", id));
-    }
-    victim = std::move(it->second);
-    containers_.erase(it);
+  std::unique_ptr<Container> victim = TakeContainer(id, /*failed=*/false);
+  if (victim == nullptr) {
+    return Status::NotFound(StrFormat("container %d not live", id));
   }
   if (tmaster_ != nullptr) {
     // Graceful stop: an orderly departure must never look like a death.
@@ -842,16 +775,21 @@ Status LocalCluster::StopContainer(ContainerId id) {
   return Status::OK();
 }
 
+std::unique_ptr<Container> LocalCluster::TakeContainer(ContainerId id,
+                                                       bool failed) {
+  std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = containers_.find(id);
+  if (it == containers_.end()) return nullptr;
+  std::unique_ptr<Container> taken = std::move(it->second);
+  containers_.erase(it);
+  if (failed) failed_containers_.insert(id);
+  return taken;
+}
+
 int LocalCluster::failovers_handled() const {
   return framework_scheduler_ != nullptr
              ? framework_scheduler_->failovers_handled()
              : 0;
-}
-
-int LocalCluster::chaos_kills() const {
-  // Atomic: the monitor thread increments while tests poll for the chaos
-  // schedule to complete.
-  return chaos_kills_.load(std::memory_order_relaxed);
 }
 
 bool LocalCluster::running() const {
@@ -881,41 +819,34 @@ int LocalCluster::num_live_containers() const {
   return static_cast<int>(containers_.size());
 }
 
+template <typename T, typename Read>
+T LocalCluster::SumOverContainers(const Read& read) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  T total = 0;
+  for (const auto& [_, container] : containers_) total += read(*container);
+  return total;
+}
+
 uint64_t LocalCluster::SumCounter(const std::string& name,
                                   const std::string& component) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  uint64_t total = 0;
-  for (const auto& [_, container] : containers_) {
-    total += container->SumInstanceCounter(name, component);
-  }
-  return total;
+  return SumOverContainers<uint64_t>([&](const Container& c) {
+    return c.SumInstanceCounter(name, component);
+  });
 }
 
 int64_t LocalCluster::SumInstanceGauge(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  int64_t total = 0;
-  for (const auto& [_, container] : containers_) {
-    total += container->SumInstanceGauge(name);
-  }
-  return total;
+  return SumOverContainers<int64_t>(
+      [&](const Container& c) { return c.SumInstanceGauge(name); });
 }
 
 int64_t LocalCluster::SumSmgrGauge(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  int64_t total = 0;
-  for (const auto& [_, container] : containers_) {
-    total += container->SmgrGauge(name);
-  }
-  return total;
+  return SumOverContainers<int64_t>(
+      [&](const Container& c) { return c.SmgrGauge(name); });
 }
 
 uint64_t LocalCluster::SumSmgrCounter(const std::string& name) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  uint64_t total = 0;
-  for (const auto& [_, container] : containers_) {
-    total += container->SmgrCounter(name);
-  }
-  return total;
+  return SumOverContainers<uint64_t>(
+      [&](const Container& c) { return c.SmgrCounter(name); });
 }
 
 Status LocalCluster::WaitForCounter(const std::string& name, uint64_t target,
@@ -943,16 +874,17 @@ Status LocalCluster::WaitForCounter(const std::string& name, uint64_t target,
 observability::SpanCollector* LocalCluster::span_collector(
     ContainerId id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = span_collectors_.find(id);
-  return it == span_collectors_.end() ? nullptr : it->second.get();
+  const auto it = rings_.find(id);
+  return it == rings_.end() ? nullptr : it->second.spans.get();
 }
 
 std::vector<observability::Span> LocalCluster::CollectSpans() const {
   std::vector<observability::Span> merged;
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [_, collector] : span_collectors_) {
-      auto spans = collector->Snapshot();
+    for (const auto& [_, rings] : rings_) {
+      if (rings.spans == nullptr) continue;
+      auto spans = rings.spans->Snapshot();
       merged.insert(merged.end(), spans.begin(), spans.end());
     }
   }
@@ -972,33 +904,35 @@ std::vector<observability::Span> LocalCluster::CollectSpans() const {
 uint64_t LocalCluster::dropped_spans() const {
   std::lock_guard<std::mutex> lock(mutex_);
   uint64_t total = 0;
-  for (const auto& [_, collector] : span_collectors_) {
-    total += collector->dropped();
+  for (const auto& [_, rings] : rings_) {
+    if (rings.spans != nullptr) total += rings.spans->dropped();
   }
   return total;
 }
 
+template <typename Visit>
+void LocalCluster::ForEachJournal(const Visit& visit) const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  for (const auto& [_, rings] : rings_) {
+    if (rings.journal != nullptr) visit(*rings.journal);
+  }
+  if (control_journal_ != nullptr) visit(*control_journal_);
+}
+
 observability::EventJournal* LocalCluster::journal(ContainerId id) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = journals_.find(id);
-  return it == journals_.end() ? nullptr : it->second.get();
+  const auto it = rings_.find(id);
+  return it == rings_.end() ? nullptr : it->second.journal.get();
 }
 
 std::vector<observability::JournalEvent> LocalCluster::CollectJournal()
     const {
   std::vector<observability::JournalEvent> merged;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [_, journal] : journals_) {
-      auto events = journal->Snapshot();
-      merged.insert(merged.end(), events.begin(), events.end());
-    }
-  }
-  if (control_journal_ != nullptr) {
-    auto events = control_journal_->Snapshot();
+  ForEachJournal([&](const observability::EventJournal& journal) {
+    auto events = journal.Snapshot();
     merged.insert(merged.end(), events.begin(), events.end());
-  }
-  // Deterministic merge: the pre-order (journals_ is id-sorted, control
+  });
+  // Deterministic merge: the pre-order (rings_ is id-sorted, control
   // plane last) is fixed and the stable sort keys on (timestamp, origin,
   // seq) — under a SimClock two runs of the same step schedule produce
   // byte-identical streams (the two-universe journal test).
@@ -1015,13 +949,9 @@ std::vector<observability::JournalEvent> LocalCluster::CollectJournal()
 
 uint64_t LocalCluster::journal_dropped() const {
   uint64_t total = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [_, journal] : journals_) {
-      total += journal->dropped();
-    }
-  }
-  if (control_journal_ != nullptr) total += control_journal_->dropped();
+  ForEachJournal([&](const observability::EventJournal& journal) {
+    total += journal.dropped();
+  });
   return total;
 }
 
@@ -1083,15 +1013,9 @@ observability::TopologySnapshot LocalCluster::BuildSnapshot() const {
 
   // Flight recorder.
   uint64_t journal_recorded = 0;
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    for (const auto& [_, journal] : journals_) {
-      journal_recorded += journal->total_recorded();
-    }
-  }
-  if (control_journal_ != nullptr) {
-    journal_recorded += control_journal_->total_recorded();
-  }
+  ForEachJournal([&](const observability::EventJournal& journal) {
+    journal_recorded += journal.total_recorded();
+  });
   snap.journal = observability::SummarizeJournal(
       CollectJournal(), journal_recorded, journal_dropped());
 

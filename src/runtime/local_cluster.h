@@ -1,7 +1,6 @@
 #ifndef HERON_RUNTIME_LOCAL_CLUSTER_H_
 #define HERON_RUNTIME_LOCAL_CLUSTER_H_
 
-#include <atomic>
 #include <condition_variable>
 #include <functional>
 #include <map>
@@ -10,7 +9,6 @@
 #include <set>
 #include <string>
 
-#include "common/random.h"
 #include "frameworks/framework.h"
 #include "observability/journal.h"
 #include "observability/metrics_cache.h"
@@ -20,7 +18,7 @@
 #include "runtime/container.h"
 #include "scheduler/framework_scheduler.h"
 #include "scheduler/local_scheduler.h"
-#include "statemgr/in_memory_state_manager.h"
+#include "statemgr/state_manager.h"
 #include "tmaster/checkpoint_coordinator.h"
 #include "tmaster/scaling_policy_engine.h"
 #include "tmaster/tmaster.h"
@@ -56,10 +54,9 @@ namespace runtime {
 /// containers directly; "aurora" / "marathon" / "yarn" / "slurm" deploy
 /// through the corresponding simulated framework.
 ///
-/// FailContainer() is the scripted fault: it hard-kills a live container
-/// (threads halted, no shutdown drains — abrupt process death), exactly
-/// what the chaos knobs (`heron.chaos.*`) do probabilistically on each
-/// monitor tick.
+/// FailContainer() is the one fault: it hard-kills a live container
+/// (threads halted, no shutdown drains — abrupt process death). The
+/// cluster never injects faults itself; tests own their kill schedules.
 ///
 /// With `heron.cluster.step.mode` the whole cluster — containers and
 /// monitor — runs threadless: tests interleave StepAll() / MonitorTick()
@@ -115,9 +112,10 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   /// housekeeping — each RunOnce). No-op outside step mode.
   void StepAll();
 
-  /// One monitor round: chaos maybe-kill, then the TMaster liveness scan —
-  /// deaths route synchronously through OnContainerDead, so after this
-  /// call returns the replacement containers (if any) are registered.
+  /// One monitor round: the TMaster liveness scan — deaths route
+  /// synchronously through OnContainerDead, so after this call returns
+  /// the replacement containers (if any) are registered — then the
+  /// checkpoint and scaling rounds.
   /// Runs on the monitor reactor in threaded mode; step-mode tests call it
   /// directly between clock advances.
   void MonitorTick();
@@ -130,7 +128,9 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   bool running() const;
   std::shared_ptr<const proto::PhysicalPlan> physical_plan() const;
   packing::PackingPlan current_packing_plan() const;
-  statemgr::IStateManager* state_manager() { return &state_; }
+  /// The State Manager named by `heron.statemgr.kind`; null before the
+  /// first Submit, which builds it.
+  statemgr::IStateManager* state_manager() { return state_.get(); }
   smgr::Transport* transport() { return &transport_; }
   tmaster::TopologyMaster* tmaster() { return tmaster_.get(); }
   /// Null unless checkpointing is enabled (heron.checkpoint.interval.ms
@@ -152,19 +152,16 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   }
   /// Incarnation counter: bumped on every checkpoint-restore recovery.
   int64_t checkpoint_epoch() const;
-  scheduler::IScheduler* scheduler() { return scheduler_.get(); }
   Container* GetContainer(ContainerId id);
   int num_live_containers() const;
 
   /// Recovery observability: `recovery.detect.ms` / `recovery.restore.ms`
   /// histograms (+ `.last` gauges), `recovery.deaths` / `recovery.restarts`
   /// counters (incl. per-container `recovery.restarts.<id>`), and
-  /// `chaos.kills`.
+  /// `recovery.checkpoint.restores`.
   metrics::MetricsRegistry* recovery_metrics() { return &recovery_metrics_; }
   /// Stateful-scheduler recoveries (0 for local / auto-restart kinds).
   int failovers_handled() const;
-  /// Containers killed by the probabilistic chaos schedule so far.
-  int chaos_kills() const;
 
   /// Sums an instance counter across every live container. With
   /// `component` non-empty, only that component's instances contribute.
@@ -227,8 +224,8 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   observability::EventJournal* journal(ContainerId id) const;
 
   /// The control-plane ring (TMaster liveness, checkpoint coordinator,
-  /// scaling engine, plan swaps, chaos); null when the journal is dark or
-  /// before Submit.
+  /// scaling engine, plan swaps); null when the journal is dark or before
+  /// Submit.
   observability::EventJournal* control_journal() const {
     return control_journal_.get();
   }
@@ -269,8 +266,6 @@ class LocalCluster final : public scheduler::IContainerLauncher {
                   const char* why, const std::vector<ContainerId>& restart);
   /// TMaster liveness transition: metrics + routing to the Scheduler.
   void OnContainerEvent(const tmaster::TopologyMaster::ContainerEvent& event);
-  /// Chaos: maybe hard-kill one random live container this monitor tick.
-  void MaybeChaosKill();
   /// Exactly-once recovery: global rollback to the latest complete
   /// checkpoint. Halts every survivor (their post-checkpoint in-flight
   /// data must die), restarts the dead container through the Scheduler's
@@ -279,20 +274,34 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   /// re-emit the post-checkpoint suffix.
   void RestoreFromCheckpoint(ContainerId dead);
   /// The global rollback both ScaleWithRollback and RestoreFromCheckpoint
-  /// run: freezes a new checkpoint epoch restoring `restore_id`, halts every
+  /// run: aborts the in-flight checkpoint (its task set is about to change,
+  /// or a dead container can never report into it), picks the latest
+  /// complete one as the restore target (0 = cold restart) and freezes a
+  /// new checkpoint epoch restoring it, journals the restore, halts every
   /// live container into failed_containers_ (so each replacement registers
   /// as a recovered incarnation), then calls `restart` with the halted ids;
   /// StartContainer hands the restore id to every container started inside
-  /// it. Counts the restore once `restart` succeeds.
+  /// it. `dead` is the container whose death triggered the rollback, -1 for
+  /// a repack. Counts the restore once `restart` succeeds.
   Status RollBack(
-      uint64_t restore_id,
+      ContainerId dead,
       const std::function<Status(const std::vector<ContainerId>& halted)>&
           restart);
+  /// Takes `id` out of containers_ for a stop or a kill; with `failed`, its
+  /// replacement starts as a recovered incarnation. Null when not live.
+  std::unique_ptr<Container> TakeContainer(ContainerId id, bool failed);
+  /// Sums `read(container)` over every live container.
+  template <typename T, typename Read>
+  T SumOverContainers(const Read& read) const;
+  /// Calls `visit` on every journal ring: the containers' in id order,
+  /// then the control plane's.
+  template <typename Visit>
+  void ForEachJournal(const Visit& visit) const;
 
   Config cluster_config_;
   Config merged_config_;
 
-  statemgr::InMemoryStateManager state_;
+  std::unique_ptr<statemgr::IStateManager> state_;
   smgr::Transport transport_;
   const Clock* clock_;
 
@@ -323,14 +332,6 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   /// restarts and repacks), stopped at Kill. Null in thread/step mode.
   std::unique_ptr<TaskletPool> tasklet_pool_;
 
-  // Chaos schedule. The RNG and knobs are touched on the monitor tick
-  // only; the kill count is atomic because tests poll chaos_kills() from
-  // another thread while the monitor is still rolling dice.
-  Random chaos_rng_{1};
-  double chaos_kill_probability_ = 0;
-  int chaos_max_kills_ = 0;
-  std::atomic<int> chaos_kills_{0};
-
   // Recovery observability.
   metrics::MetricsRegistry recovery_metrics_;
   metrics::Histogram* recovery_detect_ms_ = nullptr;
@@ -339,7 +340,6 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   metrics::Gauge* recovery_restore_last_ms_ = nullptr;
   metrics::Counter* recovery_deaths_ = nullptr;
   metrics::Counter* recovery_restarts_ = nullptr;
-  metrics::Counter* chaos_kill_counter_ = nullptr;
   /// Checkpoint-restore recoveries completed (exactly-once mode).
   metrics::Counter* checkpoint_restores_ = nullptr;
 
@@ -347,21 +347,22 @@ class LocalCluster final : public scheduler::IContainerLauncher {
   /// container's Metrics Manager (shared_ptr because MetricsManager owns
   /// sinks by shared_ptr).
   std::shared_ptr<observability::MetricsCache> metrics_cache_;
-  /// Per-container span rings (tracing enabled only). Keyed by container
-  /// id so a restarted incarnation reuses its predecessor's ring.
-  /// Guarded by mutex_ (the map; the collectors themselves are wait-free).
-  std::map<ContainerId, std::unique_ptr<observability::SpanCollector>>
-      span_collectors_;
+  /// One container's observability rings: its span ring (null unless
+  /// tracing is enabled) and its flight-recorder ring (null while the
+  /// journal is dark).
+  struct Rings {
+    std::unique_ptr<observability::SpanCollector> spans;
+    std::unique_ptr<observability::EventJournal> journal;
+  };
+  /// Keyed by container id so a restarted incarnation appends to its
+  /// predecessor's rings. Guarded by mutex_ (the map; the rings themselves
+  /// are wait-free).
+  std::map<ContainerId, Rings> rings_;
   int64_t trace_sample_inverse_ = 0;
   size_t trace_ring_capacity_ = 1 << 16;
 
-  /// Per-container flight-recorder rings (journal enabled only), keyed by
-  /// container id so a restarted incarnation appends to its predecessor's
-  /// ring. Guarded by mutex_ (the map; the rings themselves are wait-free).
-  std::map<ContainerId, std::unique_ptr<observability::EventJournal>>
-      journals_;
   /// Control-plane ring: liveness transitions, checkpoint lifecycle,
-  /// scaling decisions, plan swaps, chaos kills. Created at Submit.
+  /// scaling decisions, plan swaps. Created at Submit.
   std::unique_ptr<observability::EventJournal> control_journal_;
   /// Cooperative-scheduler slice ring, handed to the TaskletPool. Outlives
   /// the pool so the timeline can be exported after Kill.

@@ -177,7 +177,7 @@ class TaskletPool::Worker {
         case IdlePolicy::kAdaptiveSpin: {
           const int64_t now = clock_->NowNanos();
           if (spin_start < 0) spin_start = now;
-          if (now - spin_start < options_->spin_window_nanos) {
+          if (now - spin_start < kSpinWindowNanos) {
             CpuRelax();
             continue;
           }

@@ -226,6 +226,8 @@ class TaskletPool {
  public:
   /// Cap on any single worker park (back-pressure flags clear silently).
   static constexpr int64_t kMaxParkNanos = 1000000;  // 1 ms.
+  /// Adaptive-spin window before falling back to a park.
+  static constexpr int64_t kSpinWindowNanos = 50000;  // 50 us.
 
   struct Options {
     /// Worker count; 0 = one per hardware core.
@@ -233,8 +235,6 @@ class TaskletPool {
     /// False = inline stepping via DriveAll() (deterministic tests).
     bool threaded = true;
     IdlePolicy idle_policy = IdlePolicy::kCondvarPark;
-    /// Adaptive-spin window before falling back to a park.
-    int64_t spin_window_nanos = 50000;  // 50 us.
     TaskletOptions tasklet;
     /// Timeline slices: when set, every progressing Drive() records a
     /// (worker, tasklet, start, duration) slice, and workers account busy

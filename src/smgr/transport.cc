@@ -188,12 +188,6 @@ Status Transport::TrySend(const Endpoint& dest, proto::Envelope* env) {
   return Status::OK();
 }
 
-EnvelopeChannel* Transport::InstanceChannel(TaskId task) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = instances_.find(task);
-  return it == instances_.end() ? nullptr : it->second;
-}
-
 EnvelopeChannel* Transport::SmgrChannel(ContainerId container) const {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto it = smgrs_.find(container);

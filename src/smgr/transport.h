@@ -106,9 +106,8 @@ class Transport {
   /// it is intact for the caller to park and retry.
   Status TrySend(const Endpoint& dest, proto::Envelope* env);
 
-  /// nullptr when the endpoint is not (currently) registered — e.g. its
+  /// nullptr when the SMGR is not (currently) registered — e.g. its
   /// container is being restarted; senders retry.
-  EnvelopeChannel* InstanceChannel(TaskId task) const;
   EnvelopeChannel* SmgrChannel(ContainerId container) const;
 
   /// Snapshot of every container whose SMGR is currently registered.

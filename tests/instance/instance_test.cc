@@ -825,10 +825,16 @@ TEST_F(InstanceTest, StopIsIdempotentAndUnregisters) {
                       RealClock::Get(), nullptr);
   ASSERT_TRUE(spout.Start().ok());
   spout.loop()->Start();
-  EXPECT_NE(transport_->InstanceChannel(0), nullptr);
+  // A spout ignores control envelopes; what matters is whether the
+  // transport still finds its endpoint.
+  const auto send = [&] {
+    proto::Envelope env(proto::MessageType::kControl, serde::Buffer());
+    return transport_->TrySend(smgr::Transport::InstanceEndpoint(0), &env);
+  };
+  EXPECT_TRUE(send().ok());
   spout.Stop();
   spout.Stop();
-  EXPECT_EQ(transport_->InstanceChannel(0), nullptr);
+  EXPECT_TRUE(send().IsNotFound());
 }
 
 }  // namespace

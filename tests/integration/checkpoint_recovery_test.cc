@@ -13,7 +13,8 @@
 // On top of that, the barrier-alignment edge cases: a barrier parked
 // behind backpressured data must not overtake it, a kill during an
 // in-flight checkpoint must abort it (not wedge the coordinator), and
-// chaos kills landing on in-flight checkpoints must all be absorbed.
+// seeded random kills landing on in-flight checkpoints must all be
+// absorbed.
 
 #include <gtest/gtest.h>
 
@@ -33,6 +34,7 @@
 #include "smgr/stream_manager.h"
 #include "statemgr/in_memory_state_manager.h"
 #include "statemgr/state_manager.h"
+#include "tests/common/kill_schedule.h"
 #include "workloads/word_count.h"
 
 namespace heron {
@@ -513,11 +515,11 @@ TEST(CheckpointBarrierEdgeCases, BarrierParksBehindDataUnderBackpressure) {
   smgr0.Stop();
 }
 
-// Chaos mode on the real clock: probabilistic kills land while periodic
-// checkpoints are continuously in flight. Every death must be absorbed by
-// a checkpoint rollback, the coordinator must keep completing checkpoints
-// after the storm (stale in-flight ones time out), and the data plane
-// must keep acking.
+// Seeded random kills from the test thread, on the real clock, land while
+// periodic checkpoints are continuously in flight. Every death must be
+// absorbed by a checkpoint rollback, the coordinator must keep completing
+// checkpoints after the storm (stale in-flight ones time out), and the
+// data plane must keep acking.
 TEST(CheckpointChaosTest, ChaosKillsDuringInFlightCheckpointsAreAbsorbed) {
   Logging::SetLevel(LogLevel::kError);
   Config config;
@@ -529,12 +531,9 @@ TEST(CheckpointChaosTest, ChaosKillsDuringInFlightCheckpointsAreAbsorbed) {
   config.SetInt(config_keys::kMessageTimeoutMs, 600000);
   config.SetInt(config_keys::kMaxSpoutPending, 128);
   config.Set(config_keys::kCheckpointMode, "exactly-once");
-  // Fast cadence: a checkpoint is nearly always in flight when a chaos
-  // kill lands.
+  // Fast cadence: a checkpoint is nearly always in flight when a kill
+  // lands.
   config.SetInt(config_keys::kCheckpointIntervalMs, 40);
-  config.SetDouble(config_keys::kChaosKillProbability, 0.5);
-  config.SetInt(config_keys::kChaosMaxKills, 2);
-  config.SetInt(config_keys::kChaosSeed, 7);
   LocalCluster cluster(config);
 
   workloads::WordSpout::Options spout_options;
@@ -546,20 +545,20 @@ TEST(CheckpointChaosTest, ChaosKillsDuringInFlightCheckpointsAreAbsorbed) {
   ASSERT_TRUE(cluster.Submit(*topology).ok());
   ASSERT_TRUE(cluster.WaitForCounter("instance.acked", 200, 30000).ok());
 
-  // Ride out the storm: both chaos kills recovered via rollback.
-  const auto restores = [&] {
-    return cluster.recovery_metrics()
-        ->GetCounter("recovery.checkpoint.restores")
-        ->value();
+  // Ride out the storm: both kills recovered via rollback.
+  const auto recovery = [&](const char* metric) {
+    return cluster.recovery_metrics()->GetCounter(metric)->value();
   };
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (std::chrono::steady_clock::now() < deadline) {
-    if (cluster.chaos_kills() >= 2 && restores() >= 2) break;
+  const int kills = KillSchedule{}.Run(&cluster, deadline);
+  while (std::chrono::steady_clock::now() < deadline &&
+         recovery("recovery.checkpoint.restores") < 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  EXPECT_EQ(cluster.chaos_kills(), 2);
-  EXPECT_EQ(restores(), 2u);
+  EXPECT_EQ(kills, 2);
+  EXPECT_GE(recovery("recovery.deaths"), 2u);
+  EXPECT_EQ(recovery("recovery.checkpoint.restores"), 2u);
   EXPECT_EQ(cluster.num_live_containers(), 2);
 
   // Post-storm liveness, checkpoint side: completions keep advancing —
@@ -575,7 +574,7 @@ TEST(CheckpointChaosTest, ChaosKillsDuringInFlightCheckpointsAreAbsorbed) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
   EXPECT_GT(coordinator->completed(), completed_after_storm)
-      << "no checkpoint completed after the chaos storm";
+      << "no checkpoint completed after the kill storm";
 
   // Post-storm liveness, data side: acks keep flowing.
   const uint64_t acked = cluster.SumCounter("instance.acked");

@@ -32,6 +32,7 @@
 #include "common/clock.h"
 #include "common/logging.h"
 #include "statemgr/topology_state.h"
+#include "tests/common/kill_schedule.h"
 #include "workloads/word_count.h"
 
 namespace heron {
@@ -280,9 +281,9 @@ TEST(FailureRecoveryThreadedTest, MonitorDetectsAndRecoversLive) {
   ASSERT_TRUE(cluster.Kill().ok());
 }
 
-// Chaos mode: probabilistic kills on the monitor tick, bounded by the
-// max-kills cap. The cluster must absorb every injected death and keep
-// acking tuple trees afterwards.
+// Seeded random kills from the test thread, bounded by the max-kills cap,
+// land while the monitor detects and recovers the earlier ones. The
+// cluster must absorb every death and keep acking tuple trees afterwards.
 TEST(FailureRecoveryThreadedTest, ChaosKillsAreAbsorbed) {
   Logging::SetLevel(LogLevel::kError);
   Config config;
@@ -293,9 +294,6 @@ TEST(FailureRecoveryThreadedTest, ChaosKillsAreAbsorbed) {
   config.SetBool(config_keys::kAckingEnabled, true);
   config.SetInt(config_keys::kMessageTimeoutMs, 1500);
   config.SetInt(config_keys::kMaxSpoutPending, 128);
-  config.SetDouble(config_keys::kChaosKillProbability, 0.5);
-  config.SetInt(config_keys::kChaosMaxKills, 2);
-  config.SetInt(config_keys::kChaosSeed, 7);
   LocalCluster cluster(config);
 
   workloads::WordSpout::Options spout_options;
@@ -307,22 +305,21 @@ TEST(FailureRecoveryThreadedTest, ChaosKillsAreAbsorbed) {
   ASSERT_TRUE(topology.ok());
   ASSERT_TRUE(cluster.Submit(*topology).ok());
 
-  // Wait for the chaos schedule to exhaust its kill budget and for every
-  // kill to be recovered.
+  // Run the schedule to its kill budget, then wait for every kill to be
+  // recovered.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (std::chrono::steady_clock::now() < deadline) {
-    const uint64_t restarts =
-        cluster.recovery_metrics()->GetCounter("recovery.restarts")->value();
-    if (cluster.chaos_kills() >= 2 && restarts >= 2) break;
+  const int kills = KillSchedule{}.Run(&cluster, deadline);
+  const auto recovery = [&](const char* metric) {
+    return cluster.recovery_metrics()->GetCounter(metric)->value();
+  };
+  while (std::chrono::steady_clock::now() < deadline &&
+         recovery("recovery.restarts") < 2) {
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }
-  EXPECT_EQ(cluster.chaos_kills(), 2);
-  EXPECT_EQ(
-      cluster.recovery_metrics()->GetCounter("chaos.kills")->value(), 2u);
-  EXPECT_GE(
-      cluster.recovery_metrics()->GetCounter("recovery.restarts")->value(),
-      2u);
+  EXPECT_EQ(kills, 2);
+  EXPECT_GE(recovery("recovery.deaths"), 2u);
+  EXPECT_GE(recovery("recovery.restarts"), 2u);
   EXPECT_EQ(cluster.num_live_containers(), 2);
 
   // Liveness after the storm: acks still complete.

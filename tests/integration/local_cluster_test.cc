@@ -8,11 +8,13 @@
 
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
 #include <map>
 #include <mutex>
 #include <thread>
 
 #include "common/clock.h"
+#include "common/ids.h"
 #include "common/logging.h"
 #include "smgr/stream_manager.h"
 #include "workloads/word_count.h"
@@ -384,6 +386,42 @@ TEST_F(LocalClusterTest, SubmitRejectsBadSchedulerAndExecutionSettings) {
     EXPECT_FALSE(cluster.running());
     EXPECT_EQ(cluster.num_live_containers(), 0);
   }
+}
+
+// heron.statemgr.kind selects the cluster's State Manager: under LOCAL_FILE
+// the topology's packing plan is a node directory under the configured
+// root while the topology runs, and an unknown kind fails the submit.
+TEST_F(LocalClusterTest, StateManagerKindSelectsTheBackend) {
+  const std::filesystem::path root =
+      std::filesystem::temp_directory_path() /
+      IdGenerator::Next("heron-local-cluster-test");
+  struct RemoveRoot {
+    std::filesystem::path path;
+    ~RemoveRoot() {
+      std::error_code ec;
+      std::filesystem::remove_all(path, ec);
+    }
+  } remove_root{root};
+  Config config = BaseConfig();
+  config.SetBool(config_keys::kAckingEnabled, true);
+  config.Set(config_keys::kStateManagerKind, "LOCAL_FILE");
+  config.Set(config_keys::kStateManagerRoot, root.string());
+  LocalCluster cluster(config);
+  auto topology = workloads::BuildWordCountTopology("wc-file", 1, 1);
+  ASSERT_TRUE(topology.ok());
+  ASSERT_TRUE(cluster.Submit(*topology).ok());
+  EXPECT_TRUE(cluster.WaitForCounter("instance.acked", 100, 30000).ok());
+  EXPECT_EQ(cluster.state_manager()->Name(), "LOCAL_FILE");
+  EXPECT_TRUE(std::filesystem::is_directory(root / "topologies" / "wc-file" /
+                                            "packingplan"));
+  ASSERT_TRUE(cluster.Kill().ok());
+
+  Config unknown = BaseConfig();
+  unknown.Set(config_keys::kStateManagerKind, "ETCD");
+  LocalCluster rejected(unknown);
+  EXPECT_TRUE(rejected.Submit(*topology).IsNotFound());
+  EXPECT_FALSE(rejected.running());
+  EXPECT_EQ(rejected.state_manager(), nullptr);
 }
 
 // A live cooperative cluster reports its pool in the snapshot and names

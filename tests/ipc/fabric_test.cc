@@ -252,9 +252,7 @@ TEST(FabricTest, ShmRingWrapAroundPreservesBytes) {
 }
 
 TEST(FabricTest, BackgroundPumpDeliversWithoutManualPumping) {
-  Fabric::Options options;
-  options.pump_interval_us = 100;
-  SocketFabric fabric(options);
+  SocketFabric fabric(Fabric::Options{});
   RecordingSink sink;
   ASSERT_TRUE(fabric.OpenLink(1, sink.AsSink()).ok());
   fabric.StartPump();

@@ -83,7 +83,7 @@ struct Codec<JournalEvent> {
   }
   static JournalEvent Extreme() {
     JournalEvent e;
-    e.type = JournalEventType::kChaosKill;
+    e.type = JournalEventType::kPlanSwap;
     e.origin = std::numeric_limits<int32_t>::min();
     e.task = std::numeric_limits<int32_t>::max();
     e.at_nanos = std::numeric_limits<int64_t>::min();

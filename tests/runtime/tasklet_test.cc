@@ -403,7 +403,6 @@ TEST_P(ThreadedPoolTest, ProcessesExternalWorkUnderEveryIdlePolicy) {
   TaskletPool::Options options;
   options.workers = 2;
   options.idle_policy = GetParam();
-  options.spin_window_nanos = 20000;
   RealClock clock;
   TaskletPool pool(options, &clock);
 
